@@ -302,7 +302,6 @@ void ReportMetricsOverhead() {
         overhead * 100.0);
   }
 
-#if !defined(TINPROV_NO_THREADS)
   // Third series: the same instrumented kernel while an ops-plane
   // Recorder samples the whole registry every 10ms from its background
   // thread — the EnableOpsServer steady state. The registry scrape is
@@ -332,7 +331,6 @@ void ReportMetricsOverhead() {
           sampled_overhead * 100.0);
     }
   }
-#endif  // !TINPROV_NO_THREADS
 }
 
 }  // namespace

@@ -14,10 +14,12 @@
 // sequence Generate() materializes). Any mismatch fails the run:
 // snapshot isolation is an exactness claim, not a best-effort one.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,11 +31,6 @@
 #include "stream/interaction_stream.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
-
-#if !defined(TINPROV_NO_THREADS)
-#include <chrono>
-#include <thread>
-#endif
 
 using namespace tinprov;
 
@@ -52,7 +49,6 @@ struct ReaderLog {
 
 constexpr size_t kSampleEvery = 64;
 
-#if !defined(TINPROV_NO_THREADS)
 // One reader: query rotating vertices until the ingest drains, logging
 // per-query latency and capturing every kSampleEvery-th answer.
 void ReaderLoop(const ProvenanceService& service, VertexId start,
@@ -74,7 +70,6 @@ void ReaderLoop(const ProvenanceService& service, VertexId start,
     v = (v + 13) % static_cast<VertexId>(num_vertices);
   }
 }
-#endif  // !TINPROV_NO_THREADS
 
 int64_t Percentile(std::vector<int64_t>* sorted_ns, double p) {
   if (sorted_ns->empty()) return 0;
@@ -147,21 +142,10 @@ void WriteFileOrDie(const char* path, const std::string& contents) {
 // executing queries until the driver drops "<port file>.done" (or
 // TINPROV_OPS_HOLD_S elapses) so it can curl the live endpoints. The
 // recorder's time series lands in TINPROV_RECORDER_OUT on the way out.
-// Builds without threads cannot host the server; they publish "skip" so
-// the driver knows not to wait.
 int RunOpsMode(const TrackerSpec& spec, const GeneratorConfig& config,
                ServeOptions options) {
   const char* port_env = std::getenv("TINPROV_OPS_PORT");
   const char* port_file = std::getenv("TINPROV_OPS_PORT_FILE");
-#if defined(TINPROV_NO_THREADS)
-  (void)spec;
-  (void)config;
-  (void)options;
-  (void)port_env;
-  if (port_file != nullptr) WriteFileOrDie(port_file, "skip\n");
-  std::printf("ops smoke: skipped (built without threads)\n");
-  return 0;
-#else
   options.ops_recorder_interval_ms = 50;  // dense samples for a short hold
   options.slow_query_ns = 1;              // every query hits /tracez?slow=1
   double hold_s = 10.0;
@@ -232,7 +216,6 @@ int RunOpsMode(const TrackerSpec& spec, const GeneratorConfig& config,
   (*service)->DisableOpsServer();
   std::printf("ops smoke: done after %.1fs\n", hold.ElapsedSeconds());
   return 0;
-#endif
 }
 
 }  // namespace
@@ -268,13 +251,7 @@ int main() {
   TablePrinter table({"readers", "ingest time", "ingest inter/s", "queries",
                       "queries/s", "query p50", "query p99", "epochs"});
 
-#if defined(TINPROV_NO_THREADS)
-  const std::vector<size_t> reader_counts = {0};
-#else
-  const std::vector<size_t> reader_counts = {0, 1, 2, 4};
-#endif
-
-  for (const size_t readers : reader_counts) {
+  for (const size_t readers : {0, 1, 2, 4}) {
     auto stream = GeneratorStream::Create(config);
     if (!stream.ok()) {
       std::fprintf(stderr, "generator stream failed: %s\n",
@@ -296,7 +273,6 @@ int main() {
       std::fprintf(stderr, "start failed: %s\n", status.ToString().c_str());
       return 1;
     }
-#if !defined(TINPROV_NO_THREADS)
     std::vector<std::thread> threads;
     for (size_t r = 0; r < readers; ++r) {
       threads.emplace_back(ReaderLoop, std::cref(**service),
@@ -304,7 +280,6 @@ int main() {
                            &logs[r]);
     }
     for (std::thread& thread : threads) thread.join();
-#endif
     status = (*service)->WaitIngest();
     const double ingest_seconds = wall.ElapsedSeconds();
     if (!status.ok()) {

@@ -21,12 +21,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -39,11 +41,6 @@
 #include "storage/recovery.h"
 #include "stream/interaction_stream.h"
 #include "util/stopwatch.h"
-
-#if !defined(TINPROV_NO_THREADS)
-#include <chrono>
-#include <thread>
-#endif
 
 using namespace tinprov;
 
@@ -104,20 +101,16 @@ TrackerSpec CrashSpec() {
 
 // --- Crash-smoke roles -----------------------------------------------------
 
-/// Rate-limits a stream so an external kill -9 lands mid-ingest. In
-/// TINPROV_NO_THREADS builds the throttle is a no-op (no sleep
-/// primitive); the harness compensates by killing sooner.
+/// Rate-limits a stream so an external kill -9 lands mid-ingest.
 class ThrottledStream : public InteractionStream {
  public:
   ThrottledStream(std::unique_ptr<InteractionStream> base, uint64_t sleep_us)
       : base_(std::move(base)), sleep_us_(sleep_us) {}
 
   bool Next(Interaction* out) override {
-#if !defined(TINPROV_NO_THREADS)
     if (sleep_us_ > 0 && ++count_ % 64 == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(sleep_us_));
     }
-#endif
     return base_->Next(out);
   }
 

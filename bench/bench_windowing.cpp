@@ -5,7 +5,11 @@
 // streams (2.8M - 45.5M interactions). Because this harness runs scaled-down
 // streams, it scales W by the same ratio, keeping W/|R| — the quantity that
 // determines the reset frequency, and with it the runtime/memory trade-off —
-// equal to the paper's.
+// equal to the paper's. Small scales would round several of the five W
+// values to the same 1 or 2, so each scaled W is floored at paper W / 2000:
+// the sweep then keeps the paper's 1:2:4:6:8 proportions and always
+// measures five distinct points. The bench exits non-zero if the scaled
+// W values are not strictly increasing.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -49,14 +53,25 @@ int main() {
     const double ratio = static_cast<double>(tin.num_interactions()) /
                          PaperInteractions(dataset);
     std::printf("\n%s network (%zu interactions; W scaled by %.2g to keep "
-                "the paper's W/|R|):\n",
+                "the paper's W/|R|, floored at paper W / 2000):\n",
                 std::string(DatasetName(dataset)).c_str(),
                 tin.num_interactions(), ratio);
     TablePrinter table({"paper W", "scaled W", "runtime", "peak memory",
                         "resets"});
+    size_t previous_window = 0;
     for (const double paper_w : paper_windows) {
-      const size_t window = std::max<size_t>(
-          1, static_cast<size_t>(paper_w * ratio + 0.5));
+      const size_t window =
+          std::max(static_cast<size_t>(paper_w / 2000),
+                   static_cast<size_t>(paper_w * ratio + 0.5));
+      if (window <= previous_window) {
+        std::fprintf(stderr,
+                     "%s: scaled W %zu (paper W %.0f) does not exceed the "
+                     "previous %zu — the sweep would repeat a point\n",
+                     std::string(DatasetName(dataset)).c_str(), window,
+                     paper_w, previous_window);
+        return 1;
+      }
+      previous_window = window;
       WindowedTracker tracker(tin.num_vertices(), window);
       auto m = MeasureRun(&tracker, tin, "");
       if (!m.ok()) {

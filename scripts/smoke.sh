@@ -111,9 +111,8 @@ fi
 # Ops-endpoint smoke: bench_serve's TINPROV_OPS_PORT mode stands up a
 # real ProvenanceService with EnableOpsServer on an ephemeral port and
 # holds while this script curls the live endpoints, validating status
-# codes and JSON shape with python3. Builds without threads publish
-# "skip" in the port file instead of a port. The recorder's time-series
-# JSON lands in TINPROV_RECORDER_SMOKE_OUT (CI uploads it per leg).
+# codes and JSON shape with python3. The recorder's time-series JSON
+# lands in TINPROV_RECORDER_SMOKE_OUT (CI uploads it per leg).
 if [[ -x "${BUILD_DIR}/bench/bench_serve" ]] && command -v curl >/dev/null; then
   echo "--- ops endpoint smoke"
   OPS_PORT_FILE="$(mktemp /tmp/tinprov-ops-port.XXXXXX)"
@@ -130,53 +129,48 @@ if [[ -x "${BUILD_DIR}/bench/bench_serve" ]] && command -v curl >/dev/null; then
     sleep 0.2
   done
   OPS_PORT="$(tr -d '[:space:]' <"${OPS_PORT_FILE}")"
-  if [[ "${OPS_PORT}" == "skip" ]]; then
-    echo "    skipped (ops server unavailable in this build)"
-    touch "${OPS_PORT_FILE}.done"
-    wait "${OPS_PID}"
-  elif [[ -z "${OPS_PORT}" ]]; then
+  if [[ -z "${OPS_PORT}" ]]; then
     echo "error: bench_serve never published its ops port" >&2
     kill "${OPS_PID}" 2>/dev/null || true
     exit 1
-  else
-    # curl -f fails the script on any non-2xx status; python3 rejects
-    # malformed JSON and missing fields.
-    BASE="http://127.0.0.1:${OPS_PORT}"
-    curl -fsS "${BASE}/metrics" | grep -q '# TYPE'
-    curl -fsS "${BASE}/metricsz" | python3 -c '
+  fi
+  # curl -f fails the script on any non-2xx status; python3 rejects
+  # malformed JSON and missing fields.
+  BASE="http://127.0.0.1:${OPS_PORT}"
+  curl -fsS "${BASE}/metrics" | grep -q '# TYPE'
+  curl -fsS "${BASE}/metricsz" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
 assert "counters" in doc and "gauges" in doc, sorted(doc)
 '
-    curl -fsS "${BASE}/healthz" | python3 -c '
+  curl -fsS "${BASE}/healthz" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
 assert doc["healthy"] is True, doc
 assert "serve.epoch_age" in doc["checks"], sorted(doc["checks"])
 assert "ingest.watermark_lag" in doc["checks"], sorted(doc["checks"])
 '
-    curl -fsS "${BASE}/statusz" | python3 -c '
+  curl -fsS "${BASE}/statusz" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
 for key in ("service", "epoch", "ingest", "queries", "memory", "recorder"):
     assert key in doc, f"statusz missing {key}"
 assert doc["epoch"]["prefix"] >= 0
 '
-    curl -fsS "${BASE}/tracez?slow=1" | python3 -c '
+  curl -fsS "${BASE}/tracez?slow=1" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
 assert "queries" in doc, sorted(doc)
 assert doc["recorded"] >= 1, doc["recorded"]  # ops mode marks all slow
 '
-    touch "${OPS_PORT_FILE}.done"
-    wait "${OPS_PID}"
-    python3 -c '
+  touch "${OPS_PORT_FILE}.done"
+  wait "${OPS_PID}"
+  python3 -c '
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["samples"], "recorder exported no samples"
 ' "${RECORDER_OUT}"
-    echo "    OK (port ${OPS_PORT}, recorder ${RECORDER_OUT})"
-  fi
+  echo "    OK (port ${OPS_PORT}, recorder ${RECORDER_OUT})"
   rm -f "${OPS_PORT_FILE}" "${OPS_PORT_FILE}.done"
 fi
 

@@ -4,12 +4,10 @@
 #include <cstdio>
 #include <cstring>
 
-#if !defined(TINPROV_NO_THREADS)
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-#endif
 
 #include "obs/export.h"
 #include "obs/health.h"
@@ -49,9 +47,7 @@ bool QueryFlag(std::string_view query, std::string_view key) {
   return false;
 }
 
-// Only the threaded connection handler emits status lines; a
-// TINPROV_NO_THREADS build compiles Dispatch() but never serializes.
-[[maybe_unused]] const char* ReasonPhrase(int status) {
+const char* ReasonPhrase(int status) {
   switch (status) {
     case 200:
       return "OK";
@@ -155,8 +151,6 @@ HttpResponse OpsServer::Dispatch(std::string_view target) const {
   }
   return handler(query);
 }
-
-#if !defined(TINPROV_NO_THREADS)
 
 Status OpsServer::Start(uint16_t port) {
   {
@@ -295,19 +289,5 @@ void OpsServer::HandleConnection(int fd) const {
     sent += static_cast<size_t>(n);
   }
 }
-
-#else  // TINPROV_NO_THREADS
-
-Status OpsServer::Start(uint16_t port) {
-  (void)port;
-  return Status::FailedPrecondition(
-      "ops server needs threads (TINPROV_PARALLEL=OFF); use Dispatch()");
-}
-
-void OpsServer::Stop() {}
-
-bool OpsServer::running() const { return false; }
-
-#endif
 
 }  // namespace tinprov::obs

@@ -16,9 +16,7 @@
 //              handed out once), ?slow=1 the SlowQueryLog instead
 //
 // SetHandler replaces or adds routes; Dispatch() is the transport-free
-// core (tests and TINPROV_NO_THREADS builds call it directly — under
-// TINPROV_NO_THREADS Start() returns FailedPrecondition since there is
-// no thread to accept on).
+// core (tests call it directly).
 #ifndef TINPROV_OBS_HTTP_H_
 #define TINPROV_OBS_HTTP_H_
 
@@ -28,10 +26,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-
-#if !defined(TINPROV_NO_THREADS)
 #include <thread>
-#endif
 
 #include "util/status.h"
 
@@ -66,7 +61,7 @@ class OpsServer {
 
   /// Binds 127.0.0.1:`port` (0 picks an ephemeral port, see port())
   /// and spawns the accept thread. FailedPrecondition when already
-  /// running or built without threads; Internal on socket errors.
+  /// running; Internal on socket errors.
   Status Start(uint16_t port);
 
   /// Closes the listen socket and joins the accept thread; idempotent.
@@ -78,20 +73,16 @@ class OpsServer {
   bool running() const;
 
  private:
-#if !defined(TINPROV_NO_THREADS)
   void AcceptLoop();
   void HandleConnection(int fd) const;
-#endif
 
   mutable std::mutex mu_;
   std::map<std::string, HttpHandler, std::less<>> handlers_;
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;
-#if !defined(TINPROV_NO_THREADS)
   bool running_ = false;
   std::thread thread_;
-#endif
 };
 
 }  // namespace tinprov::obs

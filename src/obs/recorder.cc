@@ -72,8 +72,6 @@ void Recorder::Append(Sample sample) {
 
 void Recorder::SampleNow() { Append(Capture(SteadyNowNs() - epoch_ns_)); }
 
-#if !defined(TINPROV_NO_THREADS)
-
 Status Recorder::Start() {
   {
     std::lock_guard<std::mutex> lock(stop_mu_);
@@ -109,17 +107,6 @@ void Recorder::Loop() {
     lock.lock();
   }
 }
-
-#else  // TINPROV_NO_THREADS
-
-Status Recorder::Start() {
-  return Status::FailedPrecondition(
-      "recorder thread disabled (TINPROV_PARALLEL=OFF); call SampleNow()");
-}
-
-void Recorder::Stop() {}
-
-#endif
 
 double Recorder::Rate(std::string_view counter) const {
   std::lock_guard<std::mutex> lock(mu_);

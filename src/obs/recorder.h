@@ -12,25 +12,21 @@
 // plotting next to the BENCH_*.json metrics blobs.
 //
 // Threading: Start()/Stop() manage the sampler thread; every accessor
-// is thread-safe against it. Under -DTINPROV_PARALLEL=OFF
-// (TINPROV_NO_THREADS) Start() returns FailedPrecondition and callers
-// drive SampleNow() inline instead — the ring/rate/JSON machinery is
-// identical either way.
+// is thread-safe against it. Callers that want deterministic windows
+// skip Start() and drive SampleNow() inline instead — the
+// ring/rate/JSON machinery is identical either way.
 #ifndef TINPROV_OBS_RECORDER_H_
 #define TINPROV_OBS_RECORDER_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
-
-#if !defined(TINPROV_NO_THREADS)
-#include <condition_variable>
-#include <thread>
-#endif
 
 #include "util/status.h"
 
@@ -62,15 +58,14 @@ class Recorder {
   ~Recorder();
 
   /// Spawns the sampler thread (takes one sample immediately so the
-  /// window is never empty). FailedPrecondition when already started or
-  /// built without threads (drive SampleNow() instead).
+  /// window is never empty). FailedPrecondition when already started.
   Status Start();
 
   /// Joins the sampler thread; idempotent. The ring is kept.
   void Stop();
 
-  /// Takes one sample inline from any thread (the TINPROV_NO_THREADS
-  /// path, and tests that want deterministic windows).
+  /// Takes one sample inline from any thread (tests that want
+  /// deterministic windows).
   void SampleNow();
 
   /// Counter increase per second across the ring's window: (newest -
@@ -110,7 +105,6 @@ class Recorder {
   std::deque<Sample> ring_;
   uint64_t total_ = 0;
 
-#if !defined(TINPROV_NO_THREADS)
   void Loop();
 
   std::mutex stop_mu_;
@@ -118,7 +112,6 @@ class Recorder {
   bool stopping_ = false;
   bool started_ = false;
   std::thread thread_;
-#endif
 };
 
 }  // namespace tinprov::obs

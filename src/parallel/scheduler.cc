@@ -6,19 +6,11 @@
 
 #include "obs/metrics.h"
 
-#if !defined(TINPROV_NO_THREADS)
-#include <thread>
-#endif
-
 namespace tinprov {
 
 size_t HardwareThreads() {
-#if defined(TINPROV_NO_THREADS)
-  return 1;
-#else
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<size_t>(n);
-#endif
 }
 
 WorkStealingScheduler::WorkStealingScheduler(size_t num_threads)
@@ -49,20 +41,14 @@ struct alignas(64) RangeDeque {
 void WorkStealingScheduler::ParallelFor(
     size_t count, const std::function<void(size_t)>& body) {
   if (count == 0) return;
-#if defined(TINPROV_NO_THREADS)
-  const bool inline_path = true;
-#else
   const size_t workers = std::min(num_threads_, count);
-  const bool inline_path = workers <= 1;
-#endif
-  if (inline_path) {
+  if (workers <= 1) {
     for (size_t i = 0; i < count; ++i) body(i);
     stats_.tasks += count;
     TINPROV_COUNTER_ADD("parallel.tasks", count);
     return;
   }
 
-#if !defined(TINPROV_NO_THREADS)
   std::vector<RangeDeque> deques(workers);
   for (size_t w = 0; w < workers; ++w) {
     // Same contiguous pre-split a static partition would use; stealing
@@ -149,37 +135,19 @@ void WorkStealingScheduler::ParallelFor(
   TINPROV_COUNTER_ADD("parallel.tasks", count);
   TINPROV_COUNTER_ADD("parallel.steals",
                       total_steals.load(std::memory_order_relaxed));
-#endif
 }
 
-struct ResidentPool::Impl {
-#if !defined(TINPROV_NO_THREADS)
-  std::vector<std::thread> threads;
-#endif
-};
-
-ResidentPool::ResidentPool(std::vector<std::function<void()>> tasks)
-    : impl_(new Impl) {
-#if defined(TINPROV_NO_THREADS)
-  // Documented fallback only — blocking pipelines must not get here.
-  for (auto& task : tasks) task();
-#else
-  impl_->threads.reserve(tasks.size());
-  for (auto& task : tasks) impl_->threads.emplace_back(std::move(task));
-#endif
+ResidentPool::ResidentPool(std::vector<std::function<void()>> tasks) {
+  threads_.reserve(tasks.size());
+  for (auto& task : tasks) threads_.emplace_back(std::move(task));
 }
 
-ResidentPool::~ResidentPool() {
-  Join();
-  delete impl_;
-}
+ResidentPool::~ResidentPool() { Join(); }
 
 void ResidentPool::Join() {
-#if !defined(TINPROV_NO_THREADS)
-  for (std::thread& thread : impl_->threads) {
+  for (std::thread& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
-#endif
 }
 
 }  // namespace tinprov

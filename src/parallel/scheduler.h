@@ -13,21 +13,22 @@
 // exception that gets counted (`parallel.steals`).
 //
 // The calling thread is worker 0 and threads are spawned per call —
-// identical lifecycle (and 1-thread/TINPROV_NO_THREADS inline fast
-// path, no threads, no atomics beyond a relaxed stats add) to the pool
-// it replaces, so single-threaded callers pay nothing new.
+// identical lifecycle (and 1-thread inline fast path, no threads, no
+// atomics beyond a relaxed stats add) to the pool it replaces, so
+// single-threaded callers pay nothing new.
 #ifndef TINPROV_PARALLEL_SCHEDULER_H_
 #define TINPROV_PARALLEL_SCHEDULER_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <vector>
 
 namespace tinprov {
 
 /// std::thread::hardware_concurrency() with the zero-means-unknown case
-/// mapped to 1; always 1 under TINPROV_NO_THREADS.
+/// mapped to 1.
 size_t HardwareThreads();
 
 class WorkStealingScheduler {
@@ -64,10 +65,8 @@ class WorkStealingScheduler {
 /// the destructor). For resident pipeline workers — the streaming
 /// replay's shard consumers, the sharded ingest's exchange peers —
 /// whose tasks block on queues and therefore must not share threads.
-/// Callers are expected to take their TINPROV_NO_THREADS / 1-thread
-/// inline path instead of constructing one of these; doing so anyway
-/// runs the tasks sequentially in the constructor, which deadlocks
-/// tasks that wait on each other.
+/// Single-worker callers take their inline path instead of
+/// constructing one of these.
 class ResidentPool {
  public:
   explicit ResidentPool(std::vector<std::function<void()>> tasks);
@@ -80,8 +79,7 @@ class ResidentPool {
   void Join();
 
  private:
-  struct Impl;
-  Impl* impl_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace tinprov

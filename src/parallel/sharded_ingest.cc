@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -14,12 +17,6 @@
 #include "scalable/grouped.h"
 #include "stream/interaction_stream.h"
 #include "util/stopwatch.h"
-
-#if !defined(TINPROV_NO_THREADS)
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#endif
 
 namespace tinprov {
 
@@ -45,12 +42,6 @@ size_t ShardedIngestEngine::ResolvedShards() const {
 }
 
 bool ShardedIngestEngine::UsesShards(size_t* num_shards) const {
-#if defined(TINPROV_NO_THREADS)
-  // Shard workers block on each other's mailboxes, so they need real
-  // threads; ResidentPool's sequential fallback would deadlock.
-  *num_shards = 1;
-  return false;
-#else
   const size_t threads =
       params_.num_threads == 0 ? HardwareThreads() : params_.num_threads;
   // Shards and workers are 1:1 (every shard must be able to block on
@@ -62,7 +53,6 @@ bool ShardedIngestEngine::UsesShards(size_t* num_shards) const {
   *num_shards = std::max<size_t>(1, shards);
   return spec_.decomposable && spec_.make_shard != nullptr && shards > 1 &&
          options_.sink == nullptr;
-#endif
 }
 
 StatusOr<ShardedIngestResult> ShardedIngestEngine::IngestStream(
@@ -94,8 +84,6 @@ StatusOr<ShardedIngestResult> ShardedIngestEngine::SequentialIngest(
   result.tracker = std::move(tracker);
   return result;
 }
-
-#if !defined(TINPROV_NO_THREADS)
 
 namespace {
 
@@ -415,14 +403,5 @@ StatusOr<ShardedIngestResult> ShardedIngestEngine::ParallelIngest(
   TINPROV_COUNTER_ADD("parallel.shards_run", num_shards);
   return result;
 }
-
-#else  // TINPROV_NO_THREADS
-
-StatusOr<ShardedIngestResult> ShardedIngestEngine::ParallelIngest(
-    InteractionStream& stream, size_t /*num_shards*/) const {
-  return SequentialIngest(stream);  // UsesShards() never routes here
-}
-
-#endif
 
 }  // namespace tinprov

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -13,12 +16,6 @@
 #include "stream/ingest.h"
 #include "stream/interaction_stream.h"
 #include "util/stopwatch.h"
-
-#if !defined(TINPROV_NO_THREADS)
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#endif
 
 namespace tinprov {
 
@@ -366,12 +363,7 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
     return Status::Ok();
   };
 
-#if defined(TINPROV_NO_THREADS)
-  const bool inline_path = true;
-#else
-  const bool inline_path = num_workers <= 1;
-#endif
-  if (inline_path) {
+  if (num_workers <= 1) {
     // Single worker: no queue, just alternate pull and broadcast. Same
     // per-shard op sequence as the threaded path, so same results.
     std::vector<Interaction> chunk;
@@ -385,9 +377,7 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
       }
       if (chunk.size() < chunk_capacity) break;
     }
-  }
-#if !defined(TINPROV_NO_THREADS)
-  else {
+  } else {
     // Bounded broadcast queue: the producer appends shared chunks, each
     // worker consumes every chunk in order for the shards it owns
     // (shard s belongs to worker s % num_workers), and fully consumed
@@ -489,7 +479,6 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
       if (!status.ok()) return status;
     }
   }
-#endif
 
   // Same label-linearity witness as the materialized path.
   for (size_t s = 1; s < num_shards; ++s) {

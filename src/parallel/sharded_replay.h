@@ -72,8 +72,8 @@ enum class ShardStrategy {
 };
 
 struct ParallelParams {
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). With
-  /// TINPROV_PARALLEL=OFF the shards all run inline on the caller.
+  /// Worker threads; 0 = std::thread::hardware_concurrency(). With 1
+  /// the shards all run inline on the caller.
   size_t num_threads = 0;
   /// Label shards; 0 = one per thread. More shards than threads is
   /// valid (and useful: the pool self-balances); shard counts are

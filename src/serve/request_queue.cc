@@ -16,23 +16,6 @@ std::future<QueryResult> ReadyFuture(QueryResult result) {
 
 }  // namespace
 
-#if defined(TINPROV_NO_THREADS)
-
-QueryWorkerPool::QueryWorkerPool(QueryExecutor executor,
-                                 size_t /*num_threads*/)
-    : executor_(std::move(executor)) {}
-
-QueryWorkerPool::~QueryWorkerPool() = default;
-
-std::future<QueryResult> QueryWorkerPool::Submit(QueryRequest request) {
-  TINPROV_COUNTER_ADD("serve.queries_submitted", 1);
-  return ReadyFuture(executor_(request));
-}
-
-size_t QueryWorkerPool::num_threads() const { return 0; }
-
-#else  // !TINPROV_NO_THREADS
-
 QueryWorkerPool::QueryWorkerPool(QueryExecutor executor, size_t num_threads)
     : executor_(std::move(executor)) {
   threads_.reserve(num_threads);
@@ -70,8 +53,6 @@ std::future<QueryResult> QueryWorkerPool::Submit(QueryRequest request) {
   return future;
 }
 
-size_t QueryWorkerPool::num_threads() const { return threads_.size(); }
-
 void QueryWorkerPool::WorkerLoop() {
   for (;;) {
     Item item;
@@ -88,7 +69,5 @@ void QueryWorkerPool::WorkerLoop() {
     item.promise.set_value(executor_(item.request));
   }
 }
-
-#endif  // TINPROV_NO_THREADS
 
 }  // namespace tinprov

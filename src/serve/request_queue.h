@@ -7,17 +7,20 @@
 // immutable state, so workers never contend with the ingest writer).
 // Results come back through std::future, so callers choose between
 // blocking (get) and fire-many-then-collect batching. With zero worker
-// threads — or in a TINPROV_NO_THREADS build — Submit() resolves the
-// query inline on the calling thread and returns a ready future, which
-// keeps the API identical across build modes.
+// threads Submit() resolves the query inline on the calling thread and
+// returns a ready future, so the API is the same either way.
 #ifndef TINPROV_SERVE_REQUEST_QUEUE_H_
 #define TINPROV_SERVE_REQUEST_QUEUE_H_
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <limits>
+#include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,13 +28,6 @@
 #include "core/types.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
-
-#if !defined(TINPROV_NO_THREADS)
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
-#endif
 
 namespace tinprov {
 
@@ -82,8 +78,7 @@ using QueryExecutor = std::function<QueryResult(const QueryRequest&)>;
 class QueryWorkerPool {
  public:
   /// Spawns `num_threads` workers over an MPMC queue. 0 means inline
-  /// execution (no queue, no threads); TINPROV_NO_THREADS builds are
-  /// always inline regardless of the requested count.
+  /// execution (no queue, no threads).
   QueryWorkerPool(QueryExecutor executor, size_t num_threads);
 
   /// Drains the queue (workers finish every submitted request), then
@@ -97,12 +92,9 @@ class QueryWorkerPool {
   /// it. Thread-safe. Inline pools execute before returning.
   std::future<QueryResult> Submit(QueryRequest request);
 
-  size_t num_threads() const;
+  size_t num_threads() const { return threads_.size(); }
 
  private:
-  QueryExecutor executor_;
-
-#if !defined(TINPROV_NO_THREADS)
   struct Item {
     QueryRequest request;
     std::promise<QueryResult> promise;
@@ -111,12 +103,12 @@ class QueryWorkerPool {
 
   void WorkerLoop();
 
+  QueryExecutor executor_;
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Item> queue_;
   bool stopping_ = false;
   std::vector<std::thread> threads_;
-#endif
 };
 
 }  // namespace tinprov

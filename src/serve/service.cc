@@ -239,9 +239,7 @@ ProvenanceService::~ProvenanceService() {
   DisableOpsServer();
   // Workers execute through `this`; stop them before anything else.
   pool_.reset();
-#if !defined(TINPROV_NO_THREADS)
   if (writer_.joinable()) writer_.join();
-#endif
 }
 
 Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
@@ -494,15 +492,10 @@ Status ProvenanceService::Start(std::unique_ptr<InteractionStream> stream) {
   }
   stream_ = std::move(stream);
   since_publish_.Restart();
-#if defined(TINPROV_NO_THREADS)
-  ingest_status_ = RunIngest();
-  ingest_done_.store(true, std::memory_order_release);
-#else
   writer_ = std::thread([this] {
     ingest_status_ = RunIngest();
     ingest_done_.store(true, std::memory_order_release);
   });
-#endif
   return Status::Ok();
 }
 
@@ -510,9 +503,7 @@ Status ProvenanceService::WaitIngest() {
   if (!started_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("service not started");
   }
-#if !defined(TINPROV_NO_THREADS)
   if (writer_.joinable()) writer_.join();
-#endif
   ingest_joined_ = true;
   return ingest_status_;
 }
@@ -785,11 +776,6 @@ std::string ProvenanceService::StatuszJson() const {
 }
 
 StatusOr<uint16_t> ProvenanceService::EnableOpsServer(uint16_t port) {
-#if defined(TINPROV_NO_THREADS)
-  (void)port;
-  return Status::FailedPrecondition(
-      "ops server needs threads (built with TINPROV_PARALLEL=OFF)");
-#else
   if (ops_server_ != nullptr) {
     return Status::FailedPrecondition("ops server already enabled");
   }
@@ -907,7 +893,6 @@ StatusOr<uint16_t> ProvenanceService::EnableOpsServer(uint16_t port) {
   ops_recorder_ = std::move(recorder);
   ops_server_ = std::move(server);
   return ops_server_->port();
-#endif
 }
 
 void ProvenanceService::DisableOpsServer() {

@@ -53,6 +53,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analytics/registry.h"
@@ -68,10 +69,6 @@
 #include "stream/interaction_stream.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
-
-#if !defined(TINPROV_NO_THREADS)
-#include <thread>
-#endif
 
 namespace tinprov {
 
@@ -210,8 +207,7 @@ class ProvenanceService {
   const IngestStats& catchup_stats() const { return catchup_stats_; }
 
   /// Starts the writer thread ingesting `stream` (owned). One ingest per
-  /// service. In TINPROV_NO_THREADS builds the whole ingest runs
-  /// synchronously inside Start(), publishing epochs along the way.
+  /// service.
   Status Start(std::unique_ptr<InteractionStream> stream);
 
   /// Blocks until the writer has drained its stream; returns the ingest
@@ -266,7 +262,7 @@ class ProvenanceService {
   /// (serve.epoch_age, serve.queue_depth, ingest.watermark_lag,
   /// trace.drops, tracker.alpha_residue) against the ServeOptions
   /// thresholds. One ops server per service; FailedPrecondition when
-  /// already enabled or built without threads.
+  /// already enabled.
   StatusOr<uint16_t> EnableOpsServer(uint16_t port);
 
   /// Stops the endpoint and recorder and unregisters the service's
@@ -357,9 +353,7 @@ class ProvenanceService {
   Status ingest_status_;
   IngestStats final_ingest_stats_;
   IngestStats catchup_stats_;
-#if !defined(TINPROV_NO_THREADS)
   std::thread writer_;
-#endif
   std::unique_ptr<QueryWorkerPool> pool_;
 
   // Ops plane (EnableOpsServer). last_publish_ns_ mirrors

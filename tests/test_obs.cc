@@ -7,6 +7,10 @@
 // trackers' alpha-residue accounting (including its snapshot survival).
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -16,12 +20,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#if !defined(TINPROV_NO_THREADS)
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 #include "datagen/generator.h"
 #include "obs/export.h"
@@ -296,7 +294,6 @@ TEST_F(ObsTest, MetricsJsonIsWellFormedAndComplete) {
 // ---- the scrape path must stay well-formed while ingest-side threads
 // ---- hammer every metric type.
 
-#if !defined(TINPROV_NO_THREADS)
 TEST_F(ObsTest, ExportersStayWellFormedUnderConcurrentMutation) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter* counter = registry.GetCounter("test.scrape_counter");
@@ -340,7 +337,6 @@ TEST_F(ObsTest, ExportersStayWellFormedUnderConcurrentMutation) {
                       std::to_string(counter->Value())),
             std::string::npos);
 }
-#endif  // !TINPROV_NO_THREADS
 
 // ---- TraceSink: idempotent export and drain-once semantics.
 
@@ -387,7 +383,6 @@ TEST_F(ObsTest, TraceSinkDrainHandsOutEachEventOnce) {
   sink.SetCapacityForTesting(1 << 16);
 }
 
-#if !defined(TINPROV_NO_THREADS)
 // Drains interleaved with concurrent span emission never lose or
 // duplicate an event: everything recorded is either handed out by some
 // drain, still buffered, or counted as dropped.
@@ -429,7 +424,6 @@ TEST_F(ObsTest, TraceSinkDrainIsSafeUnderConcurrentEmission) {
             static_cast<size_t>(kThreads) * kPerThread);
   sink.SetCapacityForTesting(1 << 16);
 }
-#endif  // !TINPROV_NO_THREADS
 
 // ---- HealthRegistry: aggregation, gauge mirroring, thresholds.
 
@@ -560,7 +554,6 @@ TEST_F(ObsTest, RecorderSamplesComputeWindowedDeltas) {
             std::string::npos);
 }
 
-#if !defined(TINPROV_NO_THREADS)
 TEST_F(ObsTest, RecorderBackgroundThreadKeepsSampling) {
   obs::RecorderOptions options;
   options.interval_ms = 2;
@@ -574,7 +567,6 @@ TEST_F(ObsTest, RecorderBackgroundThreadKeepsSampling) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(recorder.num_samples(), samples);  // thread really stopped
 }
-#endif  // !TINPROV_NO_THREADS
 
 // ---- OpsServer: routing, built-in endpoints, and the real socket.
 
@@ -644,8 +636,6 @@ TEST_F(ObsTest, OpsServerTracezDrainConsumes) {
   EXPECT_EQ(after.body.find("test.served"), std::string::npos);
 }
 
-#if !defined(TINPROV_NO_THREADS)
-
 /// Minimal loopback HTTP client for the socket round-trip tests.
 std::string HttpRequest(uint16_t port, const std::string& request_line) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -692,8 +682,6 @@ TEST_F(ObsTest, OpsServerServesOverLoopbackSocket) {
   server.Stop();  // idempotent
   EXPECT_TRUE(HttpRequest(server.port(), "GET /metrics HTTP/1.0").empty());
 }
-
-#endif  // !TINPROV_NO_THREADS
 
 // ---- Engine integration: the layers actually report through the
 // ---- registry, and the unified memory answer is one call away.

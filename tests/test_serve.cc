@@ -7,13 +7,20 @@
 // and across the handoff boundary of a seeding TimeTravelIndex.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,15 +33,6 @@
 #include "serve/request_queue.h"
 #include "serve/service.h"
 #include "stream/interaction_stream.h"
-
-#if !defined(TINPROV_NO_THREADS)
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <thread>
-#endif
 
 namespace tinprov {
 namespace {
@@ -154,7 +152,6 @@ INSTANTIATE_TEST_SUITE_P(Names, ServeFinalStateTest,
 // at whatever epoch the reader happened to pin, must equal the
 // stop-the-world replay of exactly that epoch's prefix.
 
-#if !defined(TINPROV_NO_THREADS)
 TEST(ServeConcurrencyTest, ConcurrentReadersBitIdenticalToStopTheWorld) {
   const Tin tin = GeneratedTin(20000);
   const TrackerSpec spec = StreamingSpec("Prop-sparse");
@@ -254,7 +251,54 @@ TEST(ServeConcurrencyTest, WorkerPoolResolvesSubmittedQueries) {
   }
   ASSERT_TRUE((*service)->WaitIngest().ok());
 }
-#endif  // !TINPROV_NO_THREADS
+
+// ~QueryWorkerPool's drain contract: workers exit only once the queue
+// is empty, so destroying a pool with a backlog still fulfills every
+// submitted promise, each by exactly one executor run.
+TEST(ServeConcurrencyTest, WorkerPoolDrainsBacklogOnDestruction) {
+  constexpr size_t kBurst = 256;
+  std::vector<std::atomic<int>> runs(kBurst);
+  std::atomic<bool> gate{false};
+  std::vector<std::future<QueryResult>> futures;
+  std::thread opener;
+  {
+    QueryWorkerPool pool(
+        [&](const QueryRequest& request) {
+          while (!gate.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          runs[request.v].fetch_add(1, std::memory_order_relaxed);
+          QueryResult result;
+          result.query_id = request.v + 1;
+          return result;
+        },
+        2);
+    ASSERT_EQ(pool.num_threads(), 2u);
+    for (size_t i = 0; i < kBurst; ++i) {
+      QueryRequest request;
+      request.v = static_cast<VertexId>(i);
+      futures.push_back(pool.Submit(request));
+    }
+    // Both workers are parked on the gate with the queue backlogged.
+    // The gate opens 20ms from now, normally after the destructor
+    // below has set the stop flag; either order must drain the queue.
+    opener = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      gate.store(true, std::memory_order_release);
+    });
+  }
+  opener.join();
+
+  for (size_t i = 0; i < kBurst; ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i;
+    const QueryResult result = futures[i].get();
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.query_id, i + 1);
+    EXPECT_EQ(runs[i].load(), 1) << "request " << i;
+  }
+}
 
 // ---------------------------------------------------------------------
 // (c) Epoch-ring wraparound: long past the ring's reach, historical
@@ -752,8 +796,6 @@ TEST(ServeOpsTest, SlowQueryLogTagsQueriesOnBothEntryPoints) {
   log.Clear();
 }
 
-#if !defined(TINPROV_NO_THREADS)
-
 // Minimal loopback HTTP client (mirrors the one in test_obs.cc).
 std::string OpsHttpGet(uint16_t port, const std::string& target) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -835,8 +877,6 @@ TEST(ServeOpsTest, OpsServerServesConsistentStatusAndHealth) {
   // The service's health checks left the global registry with it.
   EXPECT_EQ(obs::HealthRegistry::Global().size(), 0u);
 }
-
-#endif  // !TINPROV_NO_THREADS
 
 }  // namespace
 }  // namespace tinprov

@@ -1107,7 +1107,6 @@ TEST(ServeDurable, RejectsTwoHistorySources) {
   EXPECT_EQ(conflicted.status().code(), StatusCode::kInvalidArgument);
 }
 
-#if !defined(TINPROV_NO_THREADS)
 TEST(ServeDurable, OpsServerRegistersStorageHealthChecks) {
   ScratchDir dir("serve_health");
   const Tin tin = GeneratedTin(20, 300, 21);
@@ -1139,7 +1138,6 @@ TEST(ServeDurable, OpsServerRegistersStorageHealthChecks) {
   EXPECT_TRUE(headroom);
   (*service)->DisableOpsServer();
 }
-#endif  // !defined(TINPROV_NO_THREADS)
 
 }  // namespace
 }  // namespace tinprov
