@@ -11,6 +11,7 @@
 
 #include "bench_util.h"
 #include "core/buffer.h"
+#include "merge_reference.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "policies/proportional_sparse.h"

@@ -197,7 +197,9 @@ names = {e["name"] for e in events}
 assert events, "trace file has no events"
 assert "ingest.batch" in names, f"no ingest span in {sorted(names)}"
 if (os.cpu_count() or 1) > 1:
-    assert "replay.shard" in names, f"no shard span in {sorted(names)}"
+    # bench_stream's streaming ReplayStream: one span per worker, plus
+    # the exchange that interleaves their label slices.
+    assert "replay.worker" in names, f"no worker span in {sorted(names)}"
     assert "replay.exchange" in names, f"no exchange span in {sorted(names)}"
 print(f"    OK ({len(events)} events, {len(names)} span names)")
 PY

@@ -1,7 +1,6 @@
 #include "policies/proportional_base.h"
 
 #include <algorithm>
-#include <cstring>
 #include <typeinfo>
 
 #include "core/buffer_io.h"
@@ -14,63 +13,22 @@ static_assert(sizeof(ProvPair) == 16 && alignof(ProvPair) == 8,
               "the sparse merge kernels assume the 16-byte "
               "{origin, pad, quantity} ProvPair layout");
 
-void MergeScaled(SparseVector* dst, const SparseVector& src,
-                 double fraction) {
-  if (fraction == 0.0 || src.empty()) return;
-  if (dst->empty()) {
-    dst->reserve(src.size());
-    for (const ProvPair& entry : src) {
-      dst->push_back({entry.origin, entry.quantity * fraction});
-    }
-    return;
-  }
-
-  // Pass 1: count src origins missing from dst.
-  size_t extra = 0;
-  {
-    size_t i = 0;
-    size_t j = 0;
-    while (j < src.size()) {
-      if (i == dst->size() || src[j].origin < (*dst)[i].origin) {
-        ++extra;
-        ++j;
-      } else if ((*dst)[i].origin < src[j].origin) {
-        ++i;
-      } else {
-        ++i;
-        ++j;
-      }
-    }
-  }
-
-  // Pass 2: merge backwards in place so no temporary list is needed.
-  const size_t old_size = dst->size();
-  dst->resize(old_size + extra);
-  size_t i = old_size;      // one past the last unmerged dst entry
-  size_t j = src.size();    // one past the last unmerged src entry
-  size_t k = dst->size();   // one past the next write slot
-  while (j > 0) {
-    if (i > 0 && (*dst)[i - 1].origin == src[j - 1].origin) {
-      (*dst)[--k] = {src[j - 1].origin,
-                     (*dst)[i - 1].quantity + src[j - 1].quantity * fraction};
-      --i;
-      --j;
-    } else if (i > 0 && (*dst)[i - 1].origin > src[j - 1].origin) {
-      (*dst)[--k] = (*dst)[--i];
-    } else {
-      (*dst)[--k] = {src[j - 1].origin, src[j - 1].quantity * fraction};
-      --j;
-    }
-  }
-  // Remaining dst entries (i of them) are already in their final slots.
-}
-
 void MergeScaledInto(SparseVector* out, const SparseVector& a,
                      const SparseVector& b, double fraction) {
   out->ResizeUninitialized(a.size() + b.size());
   const size_t merged = simd::GallopMergeScaled(
       out->data(), a.data(), a.size(), b.data(), b.size(), fraction);
   out->ResizeUninitialized(merged);
+}
+
+void SparseProportionalBase::MergeIntoList(SparseVector* dst,
+                                           const ProvPair* src, size_t n,
+                                           double fraction) {
+  SparseVector merged(&pool_);
+  merged.ResizeUninitialized(dst->size() + n);
+  merged.ResizeUninitialized(simd::GallopMergeScaled(
+      merged.data(), dst->data(), dst->size(), src, n, fraction));
+  dst->swap(merged);
 }
 
 Status SparseProportionalBase::Process(const Interaction& interaction) {
@@ -122,23 +80,23 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
   const size_t dst_before = dst_buffer.size();
   const bool dst_was_empty = dst_buffer.empty();
   if (fraction >= 1.0) {
-    // Whole-buffer move: into an empty destination it is a pointer swap;
-    // otherwise merge at full strength, then drop the source. Either way
-    // the tuples only change owner, so num_entries_ is debited for the
-    // source and re-credited by the final destination delta. Any alpha
-    // residue moves implicitly with the balance.
+    // Whole-buffer move: into an empty destination it is a block swap;
+    // otherwise merge at full strength. Either way the drained source
+    // gives its block back, and the tuples only change owner, so
+    // num_entries_ is debited for the source and re-credited by the
+    // final destination delta. Any alpha residue moves implicitly with
+    // the balance.
     num_entries_ -= src_buffer.size();
     if (!src_buffer.empty()) --num_nonempty_;
     if (dst_buffer.empty()) {
       dst_buffer.swap(src_buffer);
     } else if (!src_buffer.empty()) {
-      MergeScaledInto(&scratch_, dst_buffer, src_buffer, 1.0);
-      dst_buffer.swap(scratch_);
-      src_buffer.clear();
+      MergeIntoList(&dst_buffer, src_buffer.data(), src_buffer.size(), 1.0);
     }
+    ReleaseList(&src_buffer);
   } else if (!src_buffer.empty()) {
-    MergeScaledInto(&scratch_, dst_buffer, src_buffer, fraction);
-    dst_buffer.swap(scratch_);
+    MergeIntoList(&dst_buffer, src_buffer.data(), src_buffer.size(),
+                  fraction);
     simd::ScalePairsInPlace(src_buffer.data(), 1.0 - fraction,
                             src_buffer.size());
   }
@@ -204,12 +162,10 @@ Status SparseProportionalBase::ProcessVertexSharded(
     SparseVector& src_buffer = buffers_[interaction.src];
     outgoing->clear();
     if (fraction >= 1.0) {
-      outgoing->ResizeUninitialized(src_buffer.size());
-      std::memcpy(static_cast<void*>(outgoing->data()), src_buffer.data(),
-                  src_buffer.size() * sizeof(ProvPair));
+      outgoing->assign(src_buffer.begin(), src_buffer.end());
       num_entries_ -= src_buffer.size();
       if (!src_buffer.empty()) --num_nonempty_;
-      src_buffer.clear();
+      ReleaseList(&src_buffer);
     } else if (!src_buffer.empty()) {
       outgoing->ResizeUninitialized(src_buffer.size());
       simd::ScaleCopyPairs(outgoing->data(), src_buffer.data(), fraction,
@@ -222,12 +178,7 @@ Status SparseProportionalBase::ProcessVertexSharded(
     const size_t dst_before = dst_buffer.size();
     const bool dst_was_empty = dst_buffer.empty();
     if (incoming_len > 0) {
-      scratch_.ResizeUninitialized(dst_buffer.size() + incoming_len);
-      const size_t merged = simd::GallopMergeScaled(
-          scratch_.data(), dst_buffer.data(), dst_buffer.size(), incoming,
-          incoming_len, 1.0);
-      scratch_.ResizeUninitialized(merged);
-      dst_buffer.swap(scratch_);
+      MergeIntoList(&dst_buffer, incoming, incoming_len, 1.0);
     }
     if (dst_was_empty && !dst_buffer.empty()) ++num_nonempty_;
     num_entries_ += dst_buffer.size() - dst_before;
@@ -317,9 +268,9 @@ size_t SparseProportionalBase::MemoryUsage() const {
 
 size_t SparseProportionalBase::MemoryBytes() const {
   // Real reservations, not stored tuples: the pool holds every list's
-  // backing storage (including scratch_ and freed blocks awaiting
-  // reuse), so pool bytes + the per-vertex arrays is the allocator-level
-  // footprint the logical MemoryUsage() deliberately excludes.
+  // backing storage (including freed blocks awaiting reuse), so pool
+  // bytes + the per-vertex arrays is the allocator-level footprint the
+  // logical MemoryUsage() deliberately excludes.
   return pool_.bytes_reserved() + totals_.capacity() * sizeof(double) +
          buffers_.capacity() * sizeof(SparseVector) + AuxiliaryBytes();
 }
@@ -371,9 +322,7 @@ Status SparseProportionalBase::RestoreStateBody(ByteReader* reader) {
 }
 
 void SparseProportionalBase::ClearAllEntries() {
-  // clear() keeps each vector's capacity: lists refill to a similar
-  // length after a reset, and logical memory is tracked by num_entries_.
-  for (SparseVector& buffer : buffers_) buffer.clear();
+  for (SparseVector& buffer : buffers_) ReleaseList(&buffer);
   num_entries_ = 0;
   num_nonempty_ = 0;
   attributed_generated_ = 0.0;

@@ -9,10 +9,12 @@
 // default hooks it is exactly the paper's proportional policy.
 //
 // Performance architecture: every tracker owns a NodePool (util/pool.h)
-// that backs all of its provenance lists and a reusable merge scratch,
-// so the per-interaction transfer is a single gallop-merge pass
-// (util/simd.h) with no allocator traffic after warm-up. ReserveHint()
-// pre-sizes the pool from dataset stats.
+// that backs all of its provenance lists. The per-interaction transfer
+// is a single gallop-merge pass (util/simd.h) into a fresh pool block
+// of |dst| + |src| entries that then replaces dst's block, so every
+// list stays sized to its contents; the retired block goes back to the
+// pool's free list, and recycled blocks keep the loop off malloc after
+// warm-up. ReserveHint() pre-sizes the pool from dataset stats.
 //
 // Subclasses may under-attribute: a vertex's entry sum is <= its
 // buffered total, and the difference is the unattributed residue the
@@ -35,17 +37,11 @@ namespace tinprov {
 /// (heap-backed when default-constructed, e.g. in tests).
 using SparseVector = PooledVec<ProvPair>;
 
-/// dst += fraction * src, merging by origin; both vectors stay sorted.
-/// Reference two-pass in-place implementation, kept as the semantic
-/// spec for the merge (tests compare the gallop kernel against it) and
-/// as the pre-PR baseline that bench_micro's BM_SparseMergeReference
-/// measures. The replay loop itself uses MergeScaledInto.
-void MergeScaled(SparseVector* dst, const SparseVector& src, double fraction);
-
 /// out = a + fraction * b (merged by origin, sorted). `out` is resized
 /// to the merged length; its previous contents are discarded. out must
-/// be distinct from both inputs. This is the production merge: one
-/// forward gallop-merge pass into pooled scratch storage.
+/// be distinct from both inputs. One forward pass of the gallop-merge
+/// kernel the replay loop runs (tests/merge_reference.h holds the
+/// two-pass merge it replaced).
 void MergeScaledInto(SparseVector* out, const SparseVector& a,
                      const SparseVector& b, double fraction);
 
@@ -144,8 +140,7 @@ class SparseProportionalBase : public Tracker {
   explicit SparseProportionalBase(size_t num_vertices)
       : Tracker(num_vertices),
         buffers_(num_vertices, SparseVector(&pool_)),
-        totals_(num_vertices, 0.0),
-        scratch_(&pool_) {}
+        totals_(num_vertices, 0.0) {}
 
   /// Label recorded for quantity generated at `src`. The default keeps
   /// the vertex itself; GroupedTracker maps it to a group id. Labels
@@ -164,8 +159,9 @@ class SparseProportionalBase : public Tracker {
   /// Called after every successfully applied interaction.
   virtual void AfterInteraction(const Interaction& /*interaction*/) {}
 
-  /// Drops every stored tuple, leaving balances intact (the window
-  /// reset): all attributed quantity collapses into alpha. O(|V|).
+  /// Drops every stored tuple and returns every list's block to the
+  /// pool, leaving balances intact (the window reset): all attributed
+  /// quantity collapses into alpha. O(|V|).
   void ClearAllEntries();
 
   /// Standing bytes of subclass-owned per-vertex state (group maps,
@@ -190,13 +186,12 @@ class SparseProportionalBase : public Tracker {
     attributed_generated_ -= quantity;
   }
 
-  // Declaration order is a destruction contract: buffers_ and scratch_
-  // return their storage to pool_, so the pool must be destroyed last
-  // (i.e. declared first).
+  // Declaration order is a destruction contract: buffers_ return their
+  // storage to pool_, so the pool must be destroyed last (i.e. declared
+  // first).
   NodePool pool_;
   std::vector<SparseVector> buffers_;
   std::vector<double> totals_;
-  SparseVector scratch_;
   size_t num_entries_ = 0;
   size_t num_nonempty_ = 0;
   /// Standing attributed quantity: every deficit that reached a list,
@@ -204,6 +199,16 @@ class SparseProportionalBase : public Tracker {
   double attributed_generated_ = 0.0;
 
  private:
+  /// *dst = *dst + fraction * src[0..n), written into a fresh block of
+  /// |dst| + n entries that replaces dst's; the old block returns to
+  /// the pool. Never merging into a reused scratch is what keeps a
+  /// hub-sized block from being handed on to a short list.
+  void MergeIntoList(SparseVector* dst, const ProvPair* src, size_t n,
+                     double fraction);
+
+  /// Empties `list` and returns its block to the pool.
+  void ReleaseList(SparseVector* list) { *list = SparseVector(&pool_); }
+
   const uint8_t* label_mask_ = nullptr;
   size_t label_mask_size_ = 0;
 };

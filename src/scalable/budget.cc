@@ -39,7 +39,7 @@ void BudgetTracker::MaybeShrink(VertexId v) {
   if (buffer.size() <= config_.capacity) return;
   // Keep the keep_ largest shares; the dropped tuples' quantity remains
   // in the balance as unattributed alpha. Partition-then-sort keeps the
-  // list origin-sorted for the next MergeScaled.
+  // list origin-sorted for the next merge.
   std::nth_element(buffer.begin(),
                    buffer.begin() + static_cast<ptrdiff_t>(keep_),
                    buffer.end(),

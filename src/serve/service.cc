@@ -14,7 +14,6 @@
 #include "obs/slowlog.h"
 #include "obs/trace.h"
 #include "parallel/scheduler.h"
-#include "parallel/sharded_ingest.h"
 #include "util/cpu.h"
 
 namespace tinprov {
@@ -205,7 +204,7 @@ ProvenanceService::CreateWithHistory(
     handoff_state = &handoff;
   }
   std::unique_ptr<ProvenanceService> service(new ProvenanceService(
-      *std::move(factory), spec, stats, options, std::move(history)));
+      *std::move(factory), stats, options, std::move(history)));
   service->durable_ = std::move(durable);
   service->durable_base_ = durable_base;
   const Status status = service->Init(handoff_state);
@@ -214,10 +213,9 @@ ProvenanceService::CreateWithHistory(
 }
 
 ProvenanceService::ProvenanceService(
-    TrackerFactory factory, TrackerSpec spec, const DatasetStats& stats,
+    TrackerFactory factory, const DatasetStats& stats,
     const ServeOptions& options, std::shared_ptr<const TimeTravelIndex> history)
     : factory_(std::move(factory)),
-      tracker_spec_(std::move(spec)),
       stats_(stats),
       options_(options),
       history_(std::move(history)),
@@ -456,28 +454,26 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
   }
   obs::TraceSpan span("serve.catchup", "serve");
 
-  auto sharded = TrackerRegistry::Global().Sharded(tracker_spec_, stats_);
-  if (!sharded.ok()) return sharded.status();
+  // Set before ingesting: the live tracker is written in place, so
+  // even a failed catchup must not be retried over its partial prefix.
+  caught_up_ = true;
   IngestOptions ingest_options;
   ingest_options.batch_size =
       std::min(options_.ingest_batch, options_.epoch_interval);
-  ShardedIngestEngine engine(stats_, *std::move(sharded), options_.catchup,
-                             ingest_options);
+  ingest_options.initial_watermark = resume_watermark_;
+  StreamIngestor ingestor(live_tracker_.get(), ingest_options);
   // The tee keeps the retained log covering the catchup range, so
-  // historical delta replays work across it; the engine's producer runs
-  // on this thread, which owns the writer-side state until Start().
+  // historical delta replays work across it. This thread owns the
+  // writer-side state until Start().
   LogSink sink(this, stream.get());
-  auto result = engine.IngestStream(sink);
-  if (!result.ok()) return result.status();
+  const Status status = ingestor.IngestAll(sink);
+  catchup_stats_ = ingestor.stats();
+  if (!status.ok()) return status;
 
-  live_tracker_ = std::move(result->tracker);
-  catchup_stats_ = result->stats;
-  caught_up_ = true;
   prefix_base_ = catchup_stats_.interactions;
   resume_watermark_ = std::max(resume_watermark_, catchup_stats_.watermark);
   TINPROV_COUNTER_ADD("serve.catchup_interactions",
                       catchup_stats_.interactions);
-  TINPROV_GAUGE_SET("serve.catchup_shards", result->num_shards);
   // Readers see the caught-up state the moment this returns.
   return PublishEpoch(prefix_base_,
                       std::max(catchup_stats_.watermark, history_watermark_));

@@ -130,10 +130,11 @@ struct ServeOptions {
   /// direct query methods never use the pool either way.
   size_t num_query_threads = 0;
 
-  /// Shard/thread layout for Catchup()'s vertex-sharded bulk ingest
-  /// (parallel/sharded_ingest.h). Defaults shard one-per-hardware-
-  /// thread; the spec decides whether sharding is sound, so a
-  /// non-decomposable tracker silently takes the sequential path.
+  /// Unused by Catchup(), which bulk-loads on the calling thread: the
+  /// vertex-sharded engine (parallel/sharded_ingest.h) it used to run
+  /// was slower at 3 workers than at 1 on perfbench's catchup-prop.
+  /// Still set by perfbench, whose layer rows drive that engine
+  /// directly; the field goes with them.
   ParallelParams catchup;
 
   // --- Ops plane (EnableOpsServer / the slow-query log) ------------------
@@ -190,20 +191,20 @@ class ProvenanceService {
   // --- Writer side -------------------------------------------------------
 
   /// Bulk-loads historical data before serving begins: drains `stream`
-  /// (owned) through the vertex-sharded parallel ingest engine on the
-  /// calling thread, installs the resulting tracker — bit-identical to
-  /// a sequential ingest of the same stream — as the live tracker, and
-  /// publishes it as an epoch. Start() then continues with the live
-  /// tail from the catchup watermark. Must run before Start(), at most
-  /// once, from empty state (no handoff index) and with durability off
-  /// (the catchup batches would bypass the durable log). With history
-  /// retention on, the catchup interactions land in the retained log,
-  /// so Provenance(v, t) works across the catchup range exactly as if
-  /// the writer had ingested it.
+  /// (owned) into the live tracker through a StreamIngestor on the
+  /// calling thread — the writer's own loop, minus the per-interval
+  /// epochs — and publishes the result as one epoch. Start() then
+  /// continues with the live tail from the catchup watermark. Must run
+  /// before Start(), at most once (a failed catchup leaves a partial
+  /// prefix applied, so the service must be discarded), from empty
+  /// state (no handoff index) and with durability off (the catchup
+  /// batches would bypass the durable log). With history retention on,
+  /// the catchup interactions land in the retained log, so
+  /// Provenance(v, t) works across the catchup range exactly as if the
+  /// writer had ingested it.
   Status Catchup(std::unique_ptr<InteractionStream> stream);
 
-  /// Catchup accounting (parallel or fallback path). Valid after a
-  /// successful Catchup().
+  /// Catchup accounting. Valid after a successful Catchup().
   const IngestStats& catchup_stats() const { return catchup_stats_; }
 
   /// Starts the writer thread ingesting `stream` (owned). One ingest per
@@ -285,8 +286,8 @@ class ProvenanceService {
  private:
   struct EpochView;  // service.cc: the immutable published state
 
-  ProvenanceService(TrackerFactory factory, TrackerSpec spec,
-                    const DatasetStats& stats, const ServeOptions& options,
+  ProvenanceService(TrackerFactory factory, const DatasetStats& stats,
+                    const ServeOptions& options,
                     std::shared_ptr<const TimeTravelIndex> history);
 
   /// Builds and publishes epoch 0 (initial or handoff state).
@@ -313,7 +314,6 @@ class ProvenanceService {
   QueryResult Dispatch(const QueryRequest& request) const;
 
   TrackerFactory factory_;
-  TrackerSpec tracker_spec_;  // for Catchup()'s ShardedSpec lookup
   DatasetStats stats_;
   ServeOptions options_;
   std::shared_ptr<const TimeTravelIndex> history_;

@@ -74,6 +74,8 @@ std::vector<PairLane> FuzzPairs(std::mt19937_64& rng, size_t n) {
 
 void ExpectBytesEqual(const void* expected, const void* actual, size_t bytes,
                       const char* kernel, const char* level) {
+  // Empty outputs may hold null data(), which memcmp must not be given.
+  if (bytes == 0) return;
   EXPECT_EQ(std::memcmp(expected, actual, bytes), 0)
       << kernel << " diverges at dispatch level " << level;
 }

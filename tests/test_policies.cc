@@ -6,9 +6,12 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "datagen/generator.h"
+#include "datagen/presets.h"
+#include "merge_reference.h"
 #include "policies/generation_order.h"
 #include "policies/no_provenance.h"
 #include "policies/proportional_dense.h"
@@ -284,6 +287,23 @@ TEST(ProportionalTest, MergeScaledIntoEmpty) {
   EXPECT_DOUBLE_EQ(dst[0].quantity, 1.0);
   MergeScaled(&dst, {}, 0.5);  // empty src is a no-op
   EXPECT_EQ(dst.size(), 1u);
+}
+
+// Lists stay sized to their contents: every merge writes a fresh block
+// and drained lists give theirs back, so the pool's reservation stays
+// within a small factor of the stored tuples — on a heavy-tailed input
+// whose hub lists are long (Bitcoin) and on a list-heavy one (Flights).
+TEST(ProportionalTest, ListStorageStaysSizedToContents) {
+  const std::pair<DatasetKind, double> inputs[] = {
+      {DatasetKind::kBitcoin, 1.0}, {DatasetKind::kFlights, 10.0}};
+  for (const auto& [kind, scale] : inputs) {
+    auto tin = MakeDataset(kind, scale);
+    ASSERT_TRUE(tin.ok());
+    ProportionalSparseTracker tracker(tin->num_vertices());
+    ASSERT_TRUE(tracker.ProcessAll(*tin).ok());
+    EXPECT_LE(tracker.MemoryBytes(), 8 * tracker.MemoryUsage())
+        << DatasetName(kind) << " x" << scale;
+  }
 }
 
 TEST(ProportionalTest, SparseAndDenseAgree) {

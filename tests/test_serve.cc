@@ -422,7 +422,7 @@ TEST(ServeHistoryTest, HandoffBoundaryMatchesFullReplay) {
 }
 
 // ---------------------------------------------------------------------
-// (d2) Catchup: the vertex-sharded bulk-load before Start() must leave
+// (d2) Catchup: the bulk-load before Start() must leave
 // the service indistinguishable from one that ingested everything
 // through the live path.
 
@@ -532,6 +532,21 @@ TEST(ServeCatchupTest, LifecyclePreconditions) {
               StatusCode::kInvalidArgument);
     // A second catchup would double-apply: one bulk load only.
     ASSERT_TRUE((*service)->Catchup(make_stream()).ok());
+    EXPECT_EQ((*service)->Catchup(make_stream()).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  {
+    // A failed catchup leaves its applied prefix in the live tracker,
+    // so it cannot be retried either.
+    auto service = ProvenanceService::Create(spec, tin.Stats());
+    ASSERT_TRUE(service.ok());
+    std::vector<Interaction> bad(log.begin(), log.begin() + 100);
+    bad[50].dst = static_cast<VertexId>(tin.num_vertices());
+    EXPECT_EQ((*service)
+                  ->Catchup(std::make_unique<VectorStream>(tin.num_vertices(),
+                                                           std::move(bad)))
+                  .code(),
+              StatusCode::kInvalidArgument);
     EXPECT_EQ((*service)->Catchup(make_stream()).code(),
               StatusCode::kFailedPrecondition);
   }
