@@ -17,6 +17,17 @@ BUILD_DIR="${1:-build}"
 export TINPROV_SCALE="${TINPROV_SCALE:-0.1}"
 LOG_FILE="${TINPROV_SMOKE_LOG:-/dev/null}"
 
+# Files this script mktemp's, removed on any exit. Paths the caller
+# names through TINPROV_*_SMOKE_OUT are theirs to keep and never land
+# here.
+TEMP_FILES=()
+cleanup() {
+  if ((${#TEMP_FILES[@]})); then
+    rm -f "${TEMP_FILES[@]}"
+  fi
+}
+trap cleanup EXIT
+
 if [[ ! -d "${BUILD_DIR}/bench" ]]; then
   echo "error: ${BUILD_DIR}/bench not found — configure and build first:" >&2
   echo "  cmake -B ${BUILD_DIR} -S . && cmake --build ${BUILD_DIR} -j" >&2
@@ -116,7 +127,13 @@ fi
 if [[ -x "${BUILD_DIR}/bench/bench_serve" ]] && command -v curl >/dev/null; then
   echo "--- ops endpoint smoke"
   OPS_PORT_FILE="$(mktemp /tmp/tinprov-ops-port.XXXXXX)"
-  RECORDER_OUT="${TINPROV_RECORDER_SMOKE_OUT:-$(mktemp /tmp/tinprov-recorder.XXXXXX.json)}"
+  TEMP_FILES+=("${OPS_PORT_FILE}" "${OPS_PORT_FILE}.done")
+  if [[ -n "${TINPROV_RECORDER_SMOKE_OUT:-}" ]]; then
+    RECORDER_OUT="${TINPROV_RECORDER_SMOKE_OUT}"
+  else
+    RECORDER_OUT="$(mktemp /tmp/tinprov-recorder.XXXXXX.json)"
+    TEMP_FILES+=("${RECORDER_OUT}")
+  fi
   : >"${OPS_PORT_FILE}"
   rm -f "${OPS_PORT_FILE}.done"
   TINPROV_SCALE=0.05 TINPROV_OPS_PORT=0 \
@@ -171,7 +188,6 @@ doc = json.load(open(sys.argv[1]))
 assert doc["samples"], "recorder exported no samples"
 ' "${RECORDER_OUT}"
   echo "    OK (port ${OPS_PORT}, recorder ${RECORDER_OUT})"
-  rm -f "${OPS_PORT_FILE}" "${OPS_PORT_FILE}.done"
 fi
 
 # Trace smoke: re-run bench_stream with TINPROV_TRACE set and verify the
@@ -179,7 +195,12 @@ fi
 # shard-replay/exchange spans are only required when this machine can
 # actually take the parallel path — bench_stream uses hardware threads,
 # and a single-CPU box falls back to the sequential replay.
-TRACE_FILE="${TINPROV_TRACE_SMOKE_OUT:-$(mktemp /tmp/tinprov-trace.XXXXXX.json)}"
+if [[ -n "${TINPROV_TRACE_SMOKE_OUT:-}" ]]; then
+  TRACE_FILE="${TINPROV_TRACE_SMOKE_OUT}"
+else
+  TRACE_FILE="$(mktemp /tmp/tinprov-trace.XXXXXX.json)"
+  TEMP_FILES+=("${TRACE_FILE}")
+fi
 if [[ -x "${BUILD_DIR}/bench/bench_stream" ]]; then
   echo "--- trace smoke (TINPROV_TRACE=${TRACE_FILE})"
   TINPROV_SCALE=0.1 TINPROV_TRACE="${TRACE_FILE}" \

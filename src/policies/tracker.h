@@ -110,6 +110,15 @@ class Tracker {
   /// every non-pro-rata tracker. The default publishes nothing.
   virtual void PublishMetrics() const {}
 
+  /// Count of state changes so far that reached vertices other than the
+  /// applied interaction's endpoints. Process() otherwise touches only
+  /// src and dst, so an incremental reader of the state (the serve
+  /// layer's epoch publisher) re-reads just the endpoints it saw, and
+  /// every vertex in an interval where this count moved. Windowed's
+  /// periodic reset is the one such change today; the default reports
+  /// none.
+  virtual uint64_t WideChanges() const { return 0; }
+
   /// Serializes the tracker's complete mutable replay state, appending
   /// to `out`. The format is policy-private (util/serialize.h framing);
   /// its only contract is that RestoreState() on a tracker constructed

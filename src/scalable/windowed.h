@@ -24,6 +24,9 @@ class WindowedTracker : public SparseProportionalBase {
   /// floor(processed interactions / W).
   size_t reset_count() const { return reset_count_; }
 
+  /// A reset clears every vertex's list, not just the endpoints'.
+  uint64_t WideChanges() const override { return reset_count_; }
+
  protected:
   void AfterInteraction(const Interaction& /*interaction*/) override {
     if (++since_reset_ >= window_) {

@@ -1,9 +1,11 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -55,7 +57,79 @@ std::string JsonDouble(double v) {
   return buf;
 }
 
+std::vector<VertexId> AllVertices(size_t num_vertices) {
+  std::vector<VertexId> all(num_vertices);
+  std::iota(all.begin(), all.end(), VertexId{0});
+  return all;
+}
+
+/// The answer every vertex with empty state shares.
+const std::shared_ptr<const Buffer>& EmptyAnswer() {
+  static const std::shared_ptr<const Buffer> empty =
+      std::make_shared<const Buffer>();
+  return empty;
+}
+
 }  // namespace
+
+/// One epoch's answers: Provenance(v) of every vertex, held as a
+/// persistent two-level trie of immutable per-vertex buffers — kFanout
+/// buffers per leaf, kFanout leaves per branch (Bagwell's path-copied
+/// vectors). A successor is path-copied from its predecessor: only the
+/// leaves holding a changed vertex, and the branches above them, are
+/// new; every other leaf, branch and Buffer is shared.
+class ProvenanceService::AnswerTable {
+ public:
+  static constexpr size_t kFanoutBits = 6;
+  static constexpr size_t kFanout = size_t{1} << kFanoutBits;
+  static constexpr size_t kMask = kFanout - 1;
+
+  /// Every vertex answers the empty buffer.
+  explicit AnswerTable(size_t num_vertices) {
+    auto leaf = std::make_shared<Leaf>();
+    leaf->fill(EmptyAnswer());
+    auto branch = std::make_shared<Branch>();
+    branch->fill(std::move(leaf));
+    const size_t per_branch = kFanout * kFanout;
+    branches_.assign((num_vertices + per_branch - 1) / per_branch,
+                     std::move(branch));
+  }
+
+  const Buffer& At(VertexId v) const {
+    const Branch& branch = *branches_[v >> (2 * kFanoutBits)];
+    return *(*branch[(v >> kFanoutBits) & kMask])[v & kMask];
+  }
+
+  /// A successor in which each vertex of `changed` (ascending, distinct)
+  /// answers answer(v).
+  template <typename AnswerFn>
+  std::shared_ptr<const AnswerTable> With(const std::vector<VertexId>& changed,
+                                          const AnswerFn& answer) const {
+    auto next = std::make_shared<AnswerTable>(*this);
+    size_t i = 0;
+    while (i < changed.size()) {
+      const size_t b = changed[i] >> (2 * kFanoutBits);
+      auto branch = std::make_shared<Branch>(*next->branches_[b]);
+      while (i < changed.size() && (changed[i] >> (2 * kFanoutBits)) == b) {
+        const size_t leaf_index = changed[i] >> kFanoutBits;
+        auto leaf = std::make_shared<Leaf>(*(*branch)[leaf_index & kMask]);
+        for (; i < changed.size() && (changed[i] >> kFanoutBits) == leaf_index;
+             ++i) {
+          (*leaf)[changed[i] & kMask] = answer(changed[i]);
+        }
+        (*branch)[leaf_index & kMask] = std::move(leaf);
+      }
+      next->branches_[b] = std::move(branch);
+    }
+    return next;
+  }
+
+ private:
+  using Leaf = std::array<std::shared_ptr<const Buffer>, kFanout>;
+  using Branch = std::array<std::shared_ptr<const Leaf>, kFanout>;
+
+  std::vector<std::shared_ptr<const Branch>> branches_;
+};
 
 /// The immutable state one atomic publish makes visible. Readers pin a
 /// view with atomic_load and may then use everything it references for
@@ -64,8 +138,7 @@ std::string JsonDouble(double v) {
 struct ProvenanceService::EpochView {
   struct Epoch {
     EpochInfo info;
-    std::shared_ptr<const Tracker> tracker;  // restored, read-only
-    std::shared_ptr<const std::vector<uint8_t>> state;
+    std::shared_ptr<const AnswerTable> table;
   };
 
   struct Snapshot {
@@ -82,9 +155,10 @@ struct ProvenanceService::EpochView {
   /// retention is off.
   std::vector<std::shared_ptr<std::vector<Interaction>>> chunks;
 
-  /// Every published epoch's byte image, ascending by prefix, for
-  /// nearest-snapshot + delta-replay historical queries. Starts with
-  /// the prefix-0 initial/handoff state. Empty when retention is off.
+  /// Retained SaveState images, ascending by prefix, for
+  /// nearest-snapshot + delta-replay historical queries: the prefix-0
+  /// initial/handoff state, then one per snapshot the log-volume rule
+  /// cut (ProvenanceService::SnapshotDue). Empty when retention is off.
   std::vector<Snapshot> snapshots;
 
   const Epoch& Latest() const { return *ring.back(); }
@@ -259,6 +333,9 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
     live_tracker_->SaveState(state.get());
   }
   live_tracker_->ReserveHint({stats_.num_vertices, stats_.num_interactions});
+  changed_mark_.assign(stats_.num_vertices, 0);
+  published_wide_changes_ = live_tracker_->WideChanges();
+  snapshot_image_bytes_ = state->size();
 
   // Epoch 0: the pre-ingest state, published before any reader or the
   // writer exists, so latest_ is never null and plain stores suffice.
@@ -266,17 +343,13 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
   epoch->info.seq = next_seq_++;
   epoch->info.prefix = 0;
   epoch->info.watermark = history_watermark_;
-  std::unique_ptr<Tracker> restored = factory_();
-  if (restored == nullptr) {
-    return Status::Internal("tracker factory returned null");
+  // A fresh tracker buffers nothing: every vertex starts empty.
+  epoch->table = std::make_shared<const AnswerTable>(stats_.num_vertices);
+  if (handoff_state != nullptr) {
+    epoch->table =
+        epoch->table->With(AllVertices(stats_.num_vertices),
+                           [this](VertexId v) { return AnswerOf(v); });
   }
-  const Status status = restored->RestoreState(*state);
-  if (!status.ok()) {
-    return Status(status.code(),
-                  "restoring epoch 0 state: " + status.message());
-  }
-  epoch->tracker = std::move(restored);
-  epoch->state = state;
 
   auto view = std::make_shared<EpochView>();
   view->ring.push_back(std::move(epoch));
@@ -290,6 +363,15 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
 }
 
 void ProvenanceService::AppendLog(const Interaction& interaction) {
+  // The endpoints are the only vertices Process() changes (barring a
+  // WideChanges() move, which PublishEpoch checks for itself). Ids out
+  // of range are left for the tracker to reject.
+  for (const VertexId v : {interaction.src, interaction.dst}) {
+    if (v < changed_mark_.size() && changed_mark_[v] == 0) {
+      changed_mark_[v] = 1;
+      changed_.push_back(v);
+    }
+  }
   if (!options_.retain_history) return;
   if (chunks_.empty() || chunks_.back()->size() == kChunkCapacity) {
     auto chunk = std::make_shared<std::vector<Interaction>>();
@@ -300,34 +382,52 @@ void ProvenanceService::AppendLog(const Interaction& interaction) {
   ++log_size_;
 }
 
+std::shared_ptr<const Buffer> ProvenanceService::AnswerOf(VertexId v) const {
+  Buffer buffer = live_tracker_->Provenance(v);
+  if (buffer.entries.empty() && buffer.total == 0.0 &&
+      !std::signbit(buffer.total)) {
+    return EmptyAnswer();
+  }
+  return std::make_shared<const Buffer>(std::move(buffer));
+}
+
+bool ProvenanceService::SnapshotDue(size_t prefix) const {
+  if (!options_.retain_history && durable_ == nullptr) return false;
+  return (prefix - snapshot_prefix_) * sizeof(Interaction) >=
+         snapshot_image_bytes_;
+}
+
 Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   TINPROV_SCOPED_LATENCY_NS("serve.snapshot_publish_ns");
   obs::TraceSpan span("serve.publish_epoch", "serve");
 
-  auto state = std::make_shared<std::vector<uint8_t>>();
-  live_tracker_->SaveState(state.get());
-  std::unique_ptr<Tracker> restored = factory_();
-  if (restored == nullptr) {
-    return Status::Internal("tracker factory returned null");
+  // Re-read only what changed since the last publish: the endpoints the
+  // log sink saw, or every vertex when the tracker reports a wide change.
+  const uint64_t wide_changes = live_tracker_->WideChanges();
+  std::vector<VertexId> changed;
+  if (wide_changes != published_wide_changes_) {
+    published_wide_changes_ = wide_changes;
+    changed = AllVertices(stats_.num_vertices);
+    std::fill(changed_mark_.begin(), changed_mark_.end(), 0);
+    changed_.clear();
+  } else {
+    changed.swap(changed_);
+    std::sort(changed.begin(), changed.end());
+    for (const VertexId v : changed) changed_mark_[v] = 0;
   }
-  Status status = restored->RestoreState(*state);
-  if (!status.ok()) {
-    return Status(status.code(), "restoring epoch " +
-                                     std::to_string(next_seq_) + " state: " +
-                                     status.message());
-  }
+  TINPROV_HISTOGRAM_OBSERVE("serve.publish_dirty_vertices", changed.size());
 
+  // Build the successor view from the current one. The writer is the
+  // only publisher, so reading the previous view is race-free; readers
+  // keep pinning the old view until the store below.
+  const std::shared_ptr<const EpochView> prev = PinView();
   auto epoch = std::make_shared<EpochView::Epoch>();
   epoch->info.seq = next_seq_++;
   epoch->info.prefix = prefix;
   epoch->info.watermark = watermark;
-  epoch->tracker = std::move(restored);
-  epoch->state = state;
+  epoch->table = prev->Latest().table->With(
+      changed, [this](VertexId v) { return AnswerOf(v); });
 
-  // Build the successor view from the current one. The writer is the
-  // only publisher, so a plain copy of the previous view's members is
-  // race-free; readers keep pinning the old view until the store below.
-  const std::shared_ptr<const EpochView> prev = PinView();
   auto view = std::make_shared<EpochView>();
   view->ring = prev->ring;
   view->ring.push_back(std::move(epoch));
@@ -336,9 +436,17 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   }
   view->chunks = chunks_;
   view->snapshots = prev->snapshots;
-  if (options_.retain_history) {
-    view->snapshots.push_back({prefix, state});
-    snapshot_bytes_ += state->size();
+  std::shared_ptr<std::vector<uint8_t>> image;
+  if (SnapshotDue(prefix)) {
+    image = std::make_shared<std::vector<uint8_t>>();
+    live_tracker_->SaveState(image.get());
+    snapshot_prefix_ = prefix;
+    snapshot_image_bytes_ = image->size();
+    TINPROV_COUNTER_ADD("serve.snapshots_taken", 1);
+    if (options_.retain_history) {
+      view->snapshots.push_back({prefix, image});
+      snapshot_bytes_ += image->size();
+    }
   }
   std::atomic_store_explicit(&latest_,
                              std::shared_ptr<const EpochView>(std::move(view)),
@@ -353,16 +461,15 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   TINPROV_GAUGE_SET("serve.epoch_prefix", prefix);
   TINPROV_GAUGE_SET("memory.serve_log_bytes", log_size_ * sizeof(Interaction));
   TINPROV_GAUGE_SET("memory.serve_snapshot_bytes", snapshot_bytes_);
-  TINPROV_GAUGE_SET("memory.serve_epoch_state_bytes", state->size());
 
-  // Epoch published → snapshot persisted (at its global log position).
+  // Snapshot taken → persisted (at its global log position).
   // WriteSnapshot syncs the segment log first, so a snapshot on disk is
   // always backed by a durable log at least as long. Under kFailStop an
   // error surfaces as the ingest status; under kDegrade the log
   // absorbed it and flipped the storage.durability health check.
-  if (durable_ != nullptr) {
+  if (durable_ != nullptr && image != nullptr) {
     const Status durable_status =
-        durable_->WriteSnapshot(durable_base_ + prefix, watermark, *state);
+        durable_->WriteSnapshot(durable_base_ + prefix, watermark, *image);
     if (!durable_status.ok()) return durable_status;
   }
   return Status::Ok();
@@ -521,7 +628,7 @@ QueryResult ProvenanceService::Provenance(VertexId v) const {
                                             " out of range");
     return result;
   }
-  result.buffer = epoch.tracker->Provenance(v);
+  result.buffer = epoch.table->At(v);
   return result;
 }
 
@@ -579,14 +686,14 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
           : (t >= latest.info.watermark ? latest.info.prefix
                                         : latest.info.prefix + 1);
   if (target == latest.info.prefix) {
-    result.buffer = latest.tracker->Provenance(v);
+    result.buffer = latest.table->At(v);
     return result;
   }
 
   // Exact-prefix hit in the ring: some recent epoch is the wanted state.
   for (const std::shared_ptr<const EpochView::Epoch>& epoch : view->ring) {
     if (epoch->info.prefix == target) {
-      result.buffer = epoch->tracker->Provenance(v);
+      result.buffer = epoch->table->At(v);
       result.epoch = epoch->info;
       return result;
     }
@@ -700,6 +807,14 @@ std::string ProvenanceService::StatuszJson() const {
   out += ",\"prefix\":" + std::to_string(epoch.prefix);
   out += ",\"watermark\":" + JsonDouble(epoch.watermark);
   out += ",\"age_s\":" + JsonDouble(EpochAgeSeconds());
+  // Publish cost follows the vertices changed per epoch, not |V|.
+  const obs::Histogram* dirty =
+      registry.GetHistogram("serve.publish_dirty_vertices");
+  out += "},\"publish\":{\"count\":" + std::to_string(dirty->Count());
+  out += ",\"dirty_vertices_p50\":" + JsonDouble(dirty->Percentile(0.5));
+  out += ",\"dirty_vertices_p99\":" + JsonDouble(dirty->Percentile(0.99));
+  out += ",\"snapshots_taken\":" +
+         std::to_string(registry.GetCounter("serve.snapshots_taken")->Value());
   out += "},\"ingest\":{\"done\":";
   out += IngestDone() ? "true" : "false";
   out += ",\"watermark\":" +

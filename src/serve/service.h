@@ -4,27 +4,46 @@
 // Every earlier layer assumes one thread owns the tracker; this one
 // splits the work. A single writer thread drives a StreamIngestor over
 // the live tracker and, every epoch_interval interactions, publishes an
-// *epoch*: the tracker's SaveState byte image restored into a fresh
-// read-only tracker, plus the watermark/prefix it is consistent with.
-// Reader threads answer Provenance(v), Provenance(v, t), and top-k
-// origin queries against published epochs only — they never touch the
-// live tracker and never take the writer's lock.
+// *epoch*: an immutable answer table holding Provenance(v) for every
+// vertex, plus the watermark/prefix it is consistent with. Reader
+// threads answer Provenance(v), Provenance(v, t), and top-k origin
+// queries against published epochs only — they never touch the live
+// tracker.
+//
+// Publishing costs what changed, not |V|. The answer table is a
+// persistent two-level trie of shared immutable per-vertex Buffers.
+// The writer re-reads Provenance(v) only for the endpoints of the
+// interactions applied since the last publish (or for every vertex
+// when Tracker::WideChanges() moved, e.g. a Windowed reset), and
+// path-copies only the leaves that hold them; everything else is
+// shared with the previous epoch. Vertices with empty state share one
+// empty Buffer.
 //
 // Concurrency model (RCU-style epoch pinning):
 //   - The service holds one std::shared_ptr<const EpochView>, published
 //     with std::atomic_store (release) and pinned by readers with
-//     std::atomic_load (acquire). An EpochView is immutable after
-//     publication; pinning it keeps every state it references — the
-//     ring of recent epoch trackers, the log chunks, the snapshot byte
-//     images — alive for the duration of the query, however far the
-//     writer advances meanwhile.
+//     std::atomic_load (acquire). Readers and the writer share no lock
+//     of the service's own, but these shared_ptr atomics are not
+//     lock-free: libstdc++ implements them with a small internal mutex
+//     pool, held for the pointer copy only. An EpochView is immutable
+//     after publication; pinning it keeps every state it references —
+//     the ring of recent answer tables, the log chunks, the snapshot
+//     byte images — alive for the duration of the query, however far
+//     the writer advances meanwhile.
 //   - The log is chunked and append-only: fixed-capacity chunks whose
 //     backing arrays never move, so a published view's chunk pointers
 //     stay valid while the writer fills later slots. Readers only read
 //     entries below their pinned view's prefix, all written before the
-//     view's release-store — no torn reads, no locks, TSan-clean.
-//   - Writer-side state (live tracker, chunk list, snapshot list) is
-//     touched only by the writer thread.
+//     view's release-store — no torn reads, TSan-clean.
+//   - Writer-side state (live tracker, changed-vertex set, chunk list,
+//     snapshot bookkeeping) is touched only by the writer thread.
+//
+// Snapshots (the retained history images and, with durability on, the
+// snap-*.snap files) are SaveState images cut at an epoch publish by
+// one fixed rule: once the interactions applied since the last
+// snapshot, at sizeof(Interaction) each, reach that snapshot's byte
+// size. All snapshots together therefore stay within the log's bytes
+// plus one image, however large the state.
 //
 // Consistency guarantees:
 //   - Provenance(v) / TopOrigins(v, k) answer from the newest published
@@ -38,7 +57,10 @@
 //     otherwise nearest retained snapshot + delta replay of the pinned
 //     log (the TimeTravelIndex recipe, online). For t beyond the
 //     watermark the answer is the epoch state — complete through the
-//     watermark, with EpochInfo reporting the gap.
+//     watermark, with EpochInfo reporting the gap. With retain_history
+//     off there is no log to find t's exact prefix in (timestamps may
+//     tie), so only t at or past the newest watermark — or below the
+//     handoff watermark — answers; a ring epoch never does.
 //   - A service seeded from a finalized TimeTravelIndex answers
 //     t < the handoff watermark from the index and later times from its
 //     own log; the live tracker starts from the index's final state, so
@@ -83,9 +105,10 @@ class Recorder;
 /// truncating at the first torn or corrupt record), seeds its live
 /// tracker and a TimeTravelIndex from the recovered state, then keeps
 /// the directory current: every applied micro-batch lands in the
-/// segment log, every published epoch's byte image becomes a snapshot.
-/// A restart therefore resumes bit-identically to a clean replay of
-/// the recovered prefix.
+/// segment log, and each snapshot the service's log-volume rule cuts
+/// (see the file comment) becomes a snap-*.snap file. A restart
+/// therefore resumes bit-identically to a clean replay of the recovered
+/// prefix: nearest snapshot, then the log after it.
 struct DurabilityOptions {
   /// Storage directory (created if missing). Empty = in-memory only —
   /// the pre-durability behavior, and the default.
@@ -110,21 +133,26 @@ struct DurabilityOptions {
 };
 
 struct ServeOptions {
-  /// Interactions between epoch publishes. Lower = fresher reads,
-  /// higher publish cost (one SaveState/RestoreState round per epoch).
+  /// Interactions between epoch publishes. Lower = fresher reads and
+  /// more publishes; each publish costs the vertices changed since the
+  /// previous one (and the trie leaves holding them), not |V|.
   size_t epoch_interval = 4096;
   /// Recent epochs kept pinned by new views (older epochs survive only
-  /// while an in-flight reader still pins them). The ring gives
-  /// historical queries an exact-prefix fast path and bounds how much
-  /// restored-tracker state the service itself keeps alive.
+  /// while an in-flight reader still pins them). With history retention
+  /// on, the ring gives historical queries an exact-prefix fast path; an
+  /// older epoch costs only the leaves and Buffers its successors
+  /// replaced.
   size_t ring_size = 4;
   /// StreamIngestor micro-batch size for the writer.
   size_t ingest_batch = 1024;
-  /// Retain the ingested log (chunked) and every epoch's byte image so
-  /// Provenance(v, t) can delta-replay to arbitrary past times. With
-  /// retention off, standing memory stops growing with the stream and
-  /// historical queries resolve only from the ring (or the handoff
-  /// index); anything older returns FailedPrecondition.
+  /// Retain the ingested log (chunked) and the snapshot images the
+  /// log-volume rule cuts, so Provenance(v, t) can delta-replay to
+  /// arbitrary past times. With retention off, standing memory stops
+  /// growing with the stream, and Provenance(v, t) answers only t at or
+  /// past the newest watermark (the latest epoch) or below the handoff
+  /// watermark (the index): without the log a ring epoch cannot be
+  /// matched to t exactly at timestamp ties, so every other t returns
+  /// FailedPrecondition.
   bool retain_history = true;
   /// Worker threads for the Submit() queue. 0 = inline execution; the
   /// direct query methods never use the pool either way.
@@ -225,7 +253,7 @@ class ProvenanceService {
   /// Final ingest accounting. Valid only after WaitIngest().
   const IngestStats& ingest_stats() const { return final_ingest_stats_; }
 
-  // --- Reader side (thread-safe, wait-free vs the writer) ----------------
+  // --- Reader side (thread-safe; never waits on the writer's work) -------
 
   /// Provenance of `v` at the newest published epoch.
   QueryResult Provenance(VertexId v) const;
@@ -284,7 +312,8 @@ class ProvenanceService {
   double EpochAgeSeconds() const;
 
  private:
-  struct EpochView;  // service.cc: the immutable published state
+  class AnswerTable;  // service.cc: one epoch's path-copied answers
+  struct EpochView;   // service.cc: the immutable published state
 
   ProvenanceService(TrackerFactory factory, const DatasetStats& stats,
                     const ServeOptions& options,
@@ -296,12 +325,22 @@ class ProvenanceService {
   /// Writer body: drains stream_, publishing epochs along the way.
   Status RunIngest();
 
-  /// Writer (via LogSink): appends one pulled interaction to the
-  /// chunked log. No-op when history retention is off.
+  /// Writer (via LogSink): marks the pulled interaction's endpoints as
+  /// changed and appends it to the chunked log (when history retention
+  /// is on).
   void AppendLog(const Interaction& interaction);
 
-  /// Writer: publishes the current live-tracker state as a new epoch.
+  /// Writer: publishes the current live-tracker state as a new epoch,
+  /// re-reading only the changed vertices, and cuts a snapshot when
+  /// SnapshotDue(prefix).
   Status PublishEpoch(size_t prefix, Timestamp watermark);
+
+  /// Writer: v's live answer, shared with every empty vertex when empty.
+  std::shared_ptr<const Buffer> AnswerOf(VertexId v) const;
+
+  /// Writer: the log-volume snapshot rule (see the file comment), when
+  /// history retention or durability keeps snapshots at all.
+  bool SnapshotDue(size_t prefix) const;
 
   /// Reader: pins the newest view.
   std::shared_ptr<const EpochView> PinView() const {
@@ -340,6 +379,16 @@ class ProvenanceService {
   /// indexing the full retained log.
   size_t prefix_base_ = 0;
   size_t snapshot_bytes_ = 0;  // running total of retained byte images
+  /// Vertices changed since the last publish (each once: changed_mark_
+  /// flags membership, indexed by vertex).
+  std::vector<VertexId> changed_;
+  std::vector<uint8_t> changed_mark_;
+  /// live_tracker_->WideChanges() as of the last publish.
+  uint64_t published_wide_changes_ = 0;
+  /// Prefix and SaveState byte size of the last snapshot (the prefix-0
+  /// initial/handoff state until the rule cuts one).
+  size_t snapshot_prefix_ = 0;
+  size_t snapshot_image_bytes_ = 0;
   uint64_t next_seq_ = 0;
   Stopwatch since_publish_;  // serve.epoch_age_ns at publish time
 

@@ -147,6 +147,68 @@ INSTANTIATE_TEST_SUITE_P(Names, ServeFinalStateTest,
                                            "Grouped"),
                          SanitizeName);
 
+// Every published epoch's answer table — not just the final one — must
+// equal stop-the-world replay of that epoch's prefix. Epochs are
+// published incrementally (only the vertices changed since the last
+// one are re-read), so a tracker whose Process() reaches beyond the
+// endpoints without reporting it through WideChanges() fails here. The
+// stream is tie-free and the ring holds every epoch, so querying each
+// epoch's watermark must hit exactly that epoch's table with no replay.
+class ServeEpochTableTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServeEpochTableTest, EveryEpochMatchesStopTheWorld) {
+  const Tin generated = GeneratedTin(3100);
+  std::vector<Interaction> log = generated.interactions();
+  for (size_t i = 0; i < log.size(); ++i) log[i].t = static_cast<Timestamp>(i);
+  const DatasetStats stats{generated.num_vertices(), log.size()};
+
+  TrackerSpec spec = StreamingSpec(GetParam());
+  spec.params.window = 70;  // Windowed resets land mid-epoch
+  ServeOptions options;
+  options.epoch_interval = 200;  // 3100 = 15 full epochs + a partial one
+  options.ingest_batch = 40;
+  options.ring_size = 32;  // more than the 17 epochs published
+  auto service = ProvenanceService::Create(spec, stats, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE((*service)
+                  ->Start(std::make_unique<VectorStream>(stats.num_vertices,
+                                                         log))
+                  .ok());
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+
+  std::vector<size_t> prefixes;
+  for (size_t p = 0; p < log.size(); p += options.epoch_interval) {
+    prefixes.push_back(p);
+  }
+  prefixes.push_back(log.size());
+  ASSERT_EQ((*service)->LatestEpoch().seq + 1, prefixes.size());
+
+  auto factory = TrackerRegistry::Global().Factory(spec, stats);
+  ASSERT_TRUE(factory.ok());
+  std::unique_ptr<Tracker> reference = (*factory)();
+  size_t applied = 0;
+  for (const size_t prefix : prefixes) {
+    for (; applied < prefix; ++applied) {
+      ASSERT_TRUE(reference->Process(log[applied]).ok());
+    }
+    // Epoch 0's watermark precedes every interaction.
+    const Timestamp t = prefix == 0 ? -1.0 : log[prefix - 1].t;
+    for (VertexId v = 0; v < stats.num_vertices; ++v) {
+      const QueryResult result = (*service)->Provenance(v, t);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      ASSERT_EQ(result.epoch.prefix, prefix);
+      ASSERT_EQ(result.replayed_interactions, 0u);
+      ExpectSameBuffer(reference->Provenance(v), result.buffer,
+                       GetParam() + " prefix " + std::to_string(prefix) +
+                           " vertex " + std::to_string(v));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Names, ServeEpochTableTest,
+    ::testing::ValuesIn(TrackerRegistry::Global().Names()), SanitizeName);
+
 // ---------------------------------------------------------------------
 // (b) Concurrent readers against the live writer: every answer, taken
 // at whatever epoch the reader happened to pin, must equal the
@@ -356,6 +418,15 @@ TEST(ServeHistoryTest, RetentionOffBoundsHistoricalReach) {
   QueryResult stale =
       (*service)->Provenance(0, tin.interactions().front().t - 1.0);
   EXPECT_EQ(stale.status.code(), StatusCode::kFailedPrecondition);
+  // The ring still holds the previous epoch, but without the log a ring
+  // epoch is never matched to t (ties make its prefix ambiguous), so
+  // even that epoch's own watermark fails.
+  ASSERT_EQ(tin.num_interactions() % options.epoch_interval, 0u);
+  const Timestamp previous =
+      tin.interactions()[tin.num_interactions() - options.epoch_interval - 1].t;
+  ASSERT_LT(previous, tin.interactions().back().t);
+  QueryResult ring = (*service)->Provenance(0, previous);
+  EXPECT_EQ(ring.status.code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------
@@ -751,6 +822,34 @@ TEST(ServeOpsTest, StatuszJsonMatchesPinnedEpoch) {
   EXPECT_EQ(JsonField(statusz, "prefix"), (*service)->LatestEpoch().prefix);
   EXPECT_NE(statusz.find("\"done\":true"), std::string::npos);
   EXPECT_NE(statusz.find("\"total_bytes\":"), std::string::npos);
+}
+
+// /statusz's publish block: one dirty-vertex observation per publish,
+// and the log-volume rule's snapshot count. The registry is
+// process-wide, so the test reads deltas across its own service.
+TEST(ServeOpsTest, StatuszReportsPublishCostAndSnapshots) {
+  const Tin tin = GeneratedTin();
+  ServeOptions options;
+  options.epoch_interval = 100;
+  auto service = ProvenanceService::Create(StreamingSpec("FIFO"), tin.Stats(),
+                                           options);
+  ASSERT_TRUE(service.ok());
+  const std::string before = (*service)->StatuszJson();
+  ASSERT_TRUE(
+      (*service)->Start(std::make_unique<MaterializedStream>(tin)).ok());
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+  const std::string after = (*service)->StatuszJson();
+
+  EXPECT_NE(after.find("\"publish\":{\"count\":"), std::string::npos);
+  EXPECT_NE(after.find("\"dirty_vertices_p50\":"), std::string::npos);
+#if defined(TINPROV_METRICS_ENABLED)
+  EXPECT_EQ(JsonField(after, "count") - JsonField(before, "count"),
+            (*service)->LatestEpoch().seq);
+  const uint64_t snapshots = JsonField(after, "snapshots_taken") -
+                             JsonField(before, "snapshots_taken");
+  EXPECT_GE(snapshots, 1u);
+  EXPECT_LT(snapshots, (*service)->LatestEpoch().seq);
+#endif
 }
 
 TEST(ServeOpsTest, SlowQueryLogTagsQueriesOnBothEntryPoints) {

@@ -1066,6 +1066,52 @@ TEST(ServeDurable, DegradePolicyKeepsServingAndFlipsTheGauge) {
   env.Disarm();
 }
 
+// Snapshots follow log volume, not epochs: one is cut only once the
+// interactions since the previous one, at sizeof(Interaction) each,
+// reach that snapshot's size. So every snapshot but the last is paid for
+// by log bytes, and all of them together fit in the segments plus the
+// largest one.
+TEST(ServeDurable, SnapshotBytesStayWithinLogBytesPlusOneSnapshot) {
+  const Tin tin = GeneratedTin(40, 6000, 22);
+  for (const std::string& name :
+       {std::string("FIFO"), std::string("Prop-sparse"),
+        std::string("Windowed")}) {
+    ScratchDir dir("serve_cadence");
+    const ServeOptions options = DurableServeOptions(dir.path(), nullptr);
+    {
+      auto service =
+          ProvenanceService::Create(StreamingSpec(name), tin.Stats(), options);
+      ASSERT_TRUE(service.ok()) << name;
+      ASSERT_TRUE((*service)
+                      ->Start(std::make_unique<VectorStream>(
+                          tin.num_vertices(), tin.interactions()))
+                      .ok());
+      ASSERT_TRUE((*service)->WaitIngest().ok()) << name;
+    }
+
+    auto names = st::Env::Posix()->ListDir(dir.path());
+    ASSERT_TRUE(names.ok());
+    uint64_t segment_bytes = 0;
+    uint64_t snapshot_bytes = 0;
+    uint64_t largest_snapshot = 0;
+    size_t snapshots = 0;
+    for (const std::string& file : *names) {
+      uint64_t id = 0;
+      auto size = st::Env::Posix()->FileSize(st::JoinPath(dir.path(), file));
+      ASSERT_TRUE(size.ok()) << file;
+      if (st::ParseSegmentFileName(file, &id)) segment_bytes += *size;
+      if (st::ParseSnapshotFileName(file, &id)) {
+        snapshot_bytes += *size;
+        largest_snapshot = std::max<uint64_t>(largest_snapshot, *size);
+        ++snapshots;
+      }
+    }
+    EXPECT_GE(snapshots, 2u) << name;
+    EXPECT_LE(snapshot_bytes, segment_bytes + largest_snapshot)
+        << name << ": " << snapshots << " snapshots";
+  }
+}
+
 TEST(ServeDurable, StatuszReportsDisabledWithoutADirectory) {
   const Tin tin = GeneratedTin(20, 300, 19);
   auto service = ProvenanceService::Create(StreamingSpec("FIFO"), tin.Stats(),
