@@ -19,42 +19,6 @@
 
 namespace tinprov {
 
-namespace {
-
-/// The deterministic single-vertex exchange: interleaves v's disjoint
-/// shard slices into one label-sorted list by repeated min-head
-/// selection (shard counts are small; slices are disjoint, so ties are
-/// impossible). Shared by ReplayPrefix's phase 2 and QueryPrefix so the
-/// two cannot drift apart. `cursor` is caller-provided scratch of at
-/// least trackers.size() elements.
-void InterleaveVertexSlices(
-    const std::vector<std::unique_ptr<SparseProportionalBase>>& trackers,
-    VertexId v, std::vector<ProvPair>* out, std::vector<size_t>* cursor) {
-  const size_t shards = trackers.size();
-  size_t total_len = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    (*cursor)[s] = 0;
-    total_len += trackers[s]->EntriesOf(v).size();
-  }
-  out->reserve(total_len);
-  for (size_t picked = 0; picked < total_len; ++picked) {
-    size_t best = shards;
-    VertexId best_origin = kInvalidVertex;
-    for (size_t s = 0; s < shards; ++s) {
-      const SparseVector& list = trackers[s]->EntriesOf(v);
-      if ((*cursor)[s] < list.size() &&
-          (best == shards || list[(*cursor)[s]].origin < best_origin)) {
-        best = s;
-        best_origin = list[(*cursor)[s]].origin;
-      }
-    }
-    out->push_back(trackers[best]->EntriesOf(v)[(*cursor)[best]]);
-    ++(*cursor)[best];
-  }
-}
-
-}  // namespace
-
 Buffer ShardedReplayResult::Provenance(VertexId v) const {
   Buffer buffer;
   buffer.total = totals[v];
@@ -74,6 +38,11 @@ ShardedReplayEngine::ShardedReplayEngine(const DatasetStats& stats,
 
 size_t ShardedReplayEngine::ResolvedThreads() const {
   return params_.num_threads == 0 ? HardwareThreads() : params_.num_threads;
+}
+
+size_t ShardedReplayEngine::ResolvedShards() const {
+  size_t shards = 0;
+  return UsesShards(&shards) ? shards : 1;
 }
 
 std::vector<GroupId> ShardedReplayEngine::AssignLabels(const Tin& tin,
@@ -246,7 +215,7 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShards(
   PartitionLabels(&run, num_shards);
 
   // Phase 1: every shard replays the full prefix over its label slice.
-  run.trackers.resize(num_shards);
+  run.owned.resize(num_shards);
   run.seconds.assign(num_shards, 0.0);
   std::vector<Status> statuses(num_shards, Status::Ok());
   const auto& log = tin_->interactions();
@@ -272,12 +241,13 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShards(
         return;
       }
     }
-    run.trackers[s] = std::move(tracker);
+    run.owned[s] = std::move(tracker);
     run.seconds[s] = watch.ElapsedSeconds();
   });
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
   }
+  for (const auto& tracker : run.owned) run.trackers.push_back(tracker.get());
 
   // Replicated global state must agree bit-for-bit across shards, or
   // the spec lied about being label-linear; total_generated is the
@@ -294,8 +264,8 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShards(
 }
 
 StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
-    InteractionStream& stream, size_t num_shards,
-    size_t* interactions) const {
+    InteractionStream& stream, size_t num_shards, size_t* interactions,
+    Timestamp* watermark_out, SparseProportionalBase* first) const {
   const size_t label_count = spec_.label_count;
   ShardRun run;
   run.num_shards = num_shards;
@@ -305,18 +275,21 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
 
   // Shard trackers are built up front on the caller (construction is
   // O(|V|), not worth parallelizing) and pre-sized from whatever length
-  // the stream advertises.
-  run.trackers.resize(num_shards);
+  // the stream advertises; a caller-provided shard 0 comes sized.
   run.seconds.assign(num_shards, 0.0);
   const DatasetStats advertised = stream.Stats();
   for (size_t s = 0; s < num_shards; ++s) {
-    run.trackers[s] = spec_.make_shard();
-    if (run.trackers[s] == nullptr) {
-      return Status::Internal("shard tracker factory returned null");
+    SparseProportionalBase* tracker = first;
+    if (s > 0 || first == nullptr) {
+      run.owned.push_back(spec_.make_shard());
+      tracker = run.owned.back().get();
+      if (tracker == nullptr) {
+        return Status::Internal("shard tracker factory returned null");
+      }
+      ReserveShard(tracker, advertised.num_interactions, num_shards);
     }
-    run.trackers[s]->RestrictLabels(run.masks[s].data(), label_count);
-    ReserveShard(run.trackers[s].get(), advertised.num_interactions,
-                 num_shards);
+    tracker->RestrictLabels(run.masks[s].data(), label_count);
+    run.trackers.push_back(tracker);
   }
 
   const size_t chunk_capacity = std::max<size_t>(1, params_.stream_chunk);
@@ -490,6 +463,7 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
     }
   }
   *interactions = pulled_total;
+  *watermark_out = watermark;
   return run;
 }
 
@@ -574,9 +548,42 @@ StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayStream(
   }
   Stopwatch watch;
   size_t interactions = 0;
-  auto executed = RunShardsStream(stream, shards, &interactions);
+  Timestamp watermark = 0;
+  auto executed =
+      RunShardsStream(stream, shards, &interactions, &watermark, nullptr);
   if (!executed.ok()) return executed.status();
   return AssembleResult(*executed, interactions, watch.ElapsedSeconds());
+}
+
+StatusOr<size_t> ShardedReplayEngine::ReplayStreamInto(
+    InteractionStream& stream, SparseProportionalBase* target,
+    Timestamp* watermark) const {
+  size_t shards = 0;
+  if (!UsesShards(&shards)) {
+    return Status::FailedPrecondition(
+        "replay into a target needs a decomposable spec and more than one "
+        "shard — ingest sequentially instead");
+  }
+  size_t interactions = 0;
+  auto executed =
+      RunShardsStream(stream, shards, &interactions, watermark, target);
+  Status status = executed.status();
+  if (status.ok()) {
+    TINPROV_COUNTER_ADD("parallel.replays", 1);
+    TINPROV_COUNTER_ADD("parallel.shards_run", shards);
+    // Phase 2 (exchange) straight into the target's pool: the same
+    // label interleave AssembleResult runs, minus the intermediate
+    // result. The other shards are freed with `executed`.
+    obs::TraceSpan exchange_span("replay.exchange", "parallel");
+    TINPROV_SCOPED_LATENCY_NS("parallel.exchange_ns");
+    status = target->AdoptLabelShards(executed->trackers);
+  }
+  if (!status.ok()) {
+    // Shard 0's mask dies with the run; the target must not keep it.
+    target->RestrictLabels(nullptr, 0);
+    return status;
+  }
+  return interactions;
 }
 
 StatusOr<Buffer> ShardedReplayEngine::QueryPrefix(VertexId v,

@@ -39,7 +39,10 @@
 // where a single pass of an InteractionStream is broadcast to the
 // shards chunk by chunk through a bounded queue — same math, same
 // bit-identical results, but the log is never materialized and
-// buffering stays constant.
+// buffering stays constant. ReplayStreamInto runs the streaming mode
+// with a caller's tracker as shard 0 and interleaves the other shards'
+// lists straight into it instead of a materialized result:
+// ProvenanceService::Catchup's bulk load.
 #ifndef TINPROV_PARALLEL_SHARDED_REPLAY_H_
 #define TINPROV_PARALLEL_SHARDED_REPLAY_H_
 
@@ -174,6 +177,21 @@ class ShardedReplayEngine {
   /// tracker instead, same result.
   StatusOr<ShardedReplayResult> ReplayStream(InteractionStream& stream) const;
 
+  /// ReplayStream into `target` — a freshly constructed tracker
+  /// configured like spec.make_shard()'s — instead of a materialized
+  /// result: target replays as shard 0, then the exchange phase
+  /// interleaves the other shards' lists straight into its pool
+  /// (SparseProportionalBase::AdoptLabelShards), and every other shard
+  /// is freed before this returns. On success target is bit-identical,
+  /// SaveState bytes included, to a sequential replay of the stream;
+  /// returns the interactions replayed and sets `*watermark` to the last
+  /// one's timestamp. Requires ResolvedShards() > 1 (FailedPrecondition
+  /// otherwise: the caller owns the sequential path). A failed replay
+  /// leaves target unrestricted but holding a partial shard-0 state.
+  StatusOr<size_t> ReplayStreamInto(InteractionStream& stream,
+                                    SparseProportionalBase* target,
+                                    Timestamp* watermark) const;
+
   /// Replays the first min(prefix, log length) interactions — the
   /// historical-prefix shape shared with the lazy engine.
   StatusOr<ShardedReplayResult> ReplayPrefix(size_t prefix) const;
@@ -188,6 +206,10 @@ class ShardedReplayEngine {
   /// Threads the engine will actually use.
   size_t ResolvedThreads() const;
 
+  /// Label shards a replay runs: 1 when it takes the sequential path
+  /// (a non-decomposable spec, or a single shard after clamping).
+  size_t ResolvedShards() const;
+
   /// label -> shard assignment for `strategy` (exposed for tests).
   static std::vector<GroupId> AssignLabels(const Tin& tin,
                                            ShardStrategy strategy,
@@ -199,7 +221,10 @@ class ShardedReplayEngine {
   // masks they borrow (declared first so they outlive the trackers).
   struct ShardRun {
     std::vector<std::vector<uint8_t>> masks;
-    std::vector<std::unique_ptr<SparseProportionalBase>> trackers;
+    /// The shard trackers the engine built: every shard, or every one
+    /// but a caller-provided shard 0 (ReplayStreamInto's target).
+    std::vector<std::unique_ptr<SparseProportionalBase>> owned;
+    std::vector<SparseProportionalBase*> trackers;  // all shards, in order
     std::vector<size_t> labels_per_shard;
     std::vector<double> seconds;
     size_t num_shards = 0;
@@ -217,9 +242,12 @@ class ShardedReplayEngine {
   static void ReserveShard(SparseProportionalBase* tracker,
                            size_t expected_interactions, size_t num_shards);
   StatusOr<ShardRun> RunShards(size_t prefix, size_t num_shards) const;
+  /// `first`, when non-null, runs as shard 0 in place of a tracker of
+  /// the engine's own (it keeps shard 0's label mask on return).
   StatusOr<ShardRun> RunShardsStream(InteractionStream& stream,
-                                     size_t num_shards,
-                                     size_t* interactions) const;
+                                     size_t num_shards, size_t* interactions,
+                                     Timestamp* watermark,
+                                     SparseProportionalBase* first) const;
   /// Phase 2 (exchange) + result bookkeeping, shared by ReplayPrefix
   /// and ReplayStream.
   ShardedReplayResult AssembleResult(const ShardRun& run,

@@ -70,15 +70,10 @@ class GenerationOrderTracker : public Tracker {
 
   size_t MemoryBytes() const override {
     // Heap capacities, not live tuples: what the allocator is actually
-    // holding for this tracker. O(|V|), sampled per batch.
-    size_t bytes =
-        totals_.capacity() * sizeof(double) +
-        buffers_.capacity() * sizeof(BinaryHeap<ProvTriple, BirthOrder>) +
-        scratch_.capacity() * sizeof(ProvTriple);
-    for (const BinaryHeap<ProvTriple, BirthOrder>& buffer : buffers_) {
-      bytes += buffer.capacity() * sizeof(ProvTriple);
-    }
-    return bytes;
+    // holding for this tracker.
+    return totals_.capacity() * sizeof(double) +
+           buffers_.capacity() * sizeof(BinaryHeap<ProvTriple, BirthOrder>) +
+           scratch_.capacity() * sizeof(ProvTriple) + heap_bytes_;
   }
 
   void PublishMetrics() const override {
@@ -102,12 +97,14 @@ class GenerationOrderTracker : public Tracker {
     Status status = reader->ReadSpan(totals_.data(), totals_.size());
     if (!status.ok()) return status;
     num_entries_ = 0;
+    heap_bytes_ = 0;
     std::vector<ProvTriple> items;
     for (BinaryHeap<ProvTriple, BirthOrder>& buffer : buffers_) {
       status = ReadEntryVector(reader, &items);
       if (!status.ok()) return status;
       num_entries_ += items.size();
       buffer.AssignItems(std::move(items));
+      heap_bytes_ += buffer.capacity() * sizeof(ProvTriple);
       // ReadEntryVector clear()s the moved-from vector before refilling.
     }
     return Status::Ok();
@@ -115,7 +112,10 @@ class GenerationOrderTracker : public Tracker {
 
  private:
   void Push(VertexId v, const ProvTriple& entry) {
-    buffers_[v].Push(entry);
+    BinaryHeap<ProvTriple, BirthOrder>& buffer = buffers_[v];
+    const size_t capacity = buffer.capacity();
+    buffer.Push(entry);
+    heap_bytes_ += (buffer.capacity() - capacity) * sizeof(ProvTriple);
     ++num_entries_;
   }
 
@@ -141,7 +141,12 @@ class GenerationOrderTracker : public Tracker {
   std::vector<BinaryHeap<ProvTriple, BirthOrder>> buffers_;
   std::vector<double> totals_;
   size_t num_entries_ = 0;
+  /// Bytes of every heap's capacity, kept current as heaps grow (pops
+  /// never shrink them) and on restore, so MemoryBytes() is O(1).
+  size_t heap_bytes_ = 0;
   std::vector<ProvTriple> scratch_;
+
+  friend class MemoryBytesReference;  // tests: the O(|V|) walk
 };
 
 /// Least recently born: transfers propagate the oldest quantity first.

@@ -40,6 +40,7 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
     OnGenerated(interaction.src, *deficit);
     if (AttributeGeneration(interaction.src)) {
       const ProvPair entry{GenerationLabel(interaction.src), *deficit};
+      attributed_unmasked_ += *deficit;
       // The label filter (sharded replay) diverts non-owned labels into
       // alpha *after* the subclass hooks, so per-shard hook state (e.g.
       // Selective's tracked_generated) still evolves exactly as the
@@ -143,6 +144,7 @@ Status SparseProportionalBase::ProcessVertexSharded(
       // Replicated even when the insert was another shard's: alpha and
       // the attributed total must agree across shards bit-for-bit.
       attributed_generated_ += *deficit;
+      attributed_unmasked_ += *deficit;
     }
     totals_[interaction.src] += *deficit;
   }
@@ -238,6 +240,7 @@ Status SparseProportionalBase::AdoptVertexShards(
   }
   total_generated_ = shards[0]->total_generated_;
   attributed_generated_ = shards[0]->attributed_generated_;
+  attributed_unmasked_ = attributed_generated_;
   // Aux state (window position, selective stats, ...) is replicated
   // too; round-trip shard 0's through the snapshot hooks so every
   // subclass adopts it without a dedicated virtual.
@@ -250,6 +253,48 @@ Status SparseProportionalBase::AdoptVertexShards(
   if (reader.remaining() != 0) {
     return Status::Internal("aux state adoption left trailing bytes");
   }
+  return Status::Ok();
+}
+
+Status SparseProportionalBase::AdoptLabelShards(
+    const std::vector<SparseProportionalBase*>& shards) {
+  if (shards.empty() || shards[0] != this) {
+    return Status::InvalidArgument(
+        "label shards must list the adopting tracker as shard 0");
+  }
+  // Every shard replayed every interaction, so the label-independent
+  // scalars must agree bit-for-bit, or the tracker is not
+  // label-decomposable.
+  for (size_t s = 1; s < shards.size(); ++s) {
+    const SparseProportionalBase* shard = shards[s];
+    if (shard == nullptr || typeid(*shard) != typeid(*this) ||
+        shard->totals_.size() != totals_.size()) {
+      return Status::InvalidArgument(
+          "shard tracker missing or of a different type/shape");
+    }
+    if (shard->total_generated_ != total_generated_ ||
+        shard->attributed_unmasked_ != attributed_unmasked_) {
+      return Status::Internal(
+          "shard " + std::to_string(s) +
+          " diverged from shard 0 — tracker is not label-decomposable");
+    }
+  }
+  std::vector<size_t> cursor(shards.size());
+  for (size_t v = 0; v < totals_.size(); ++v) {
+    size_t others = 0;
+    for (size_t s = 1; s < shards.size(); ++s) {
+      others += shards[s]->buffers_[v].size();
+    }
+    if (others == 0) continue;  // shard 0's slice is the whole list
+    SparseVector merged(&pool_);
+    InterleaveVertexSlices(shards, static_cast<VertexId>(v), &merged, &cursor);
+    SparseVector& list = buffers_[v];
+    if (list.empty()) ++num_nonempty_;
+    num_entries_ += merged.size() - list.size();
+    list.swap(merged);  // the slice's block returns to the pool
+  }
+  attributed_generated_ = attributed_unmasked_;
+  RestrictLabels(nullptr, 0);
   return Status::Ok();
 }
 
@@ -310,6 +355,7 @@ Status SparseProportionalBase::RestoreStateBody(ByteReader* reader) {
   if (!status.ok()) return status;
   status = reader->ReadSpan(&attributed_generated_, 1);
   if (!status.ok()) return status;
+  attributed_unmasked_ = attributed_generated_;
   num_entries_ = 0;
   num_nonempty_ = 0;
   for (SparseVector& buffer : buffers_) {
@@ -326,6 +372,7 @@ void SparseProportionalBase::ClearAllEntries() {
   num_entries_ = 0;
   num_nonempty_ = 0;
   attributed_generated_ = 0.0;
+  attributed_unmasked_ = 0.0;
 }
 
 }  // namespace tinprov

@@ -80,6 +80,20 @@ class SparseProportionalBase : public Tracker {
   /// phase of sharded replay interleaves these across shards.
   const SparseVector& EntriesOf(VertexId v) const { return buffers_[v]; }
 
+  /// Completes a label-sharded replay (src/parallel/sharded_replay.h)
+  /// in which this tracker ran as shard 0 of `shards` (shards[0] ==
+  /// this): merges the other shards' disjoint label slices into this
+  /// tracker's lists by the label interleave (InterleaveVertexSlices),
+  /// written straight into its pool, adopts the unmasked attributed
+  /// total (a masked shard's own counter holds only its own labels) and
+  /// lifts the label mask. Balances, total_generated and aux state are
+  /// this tracker's own: every shard replays them identically, which is
+  /// verified first. All shards must share this tracker's dynamic type
+  /// and configuration and have replayed the same stream. On success
+  /// this tracker is bit-identical — SaveState bytes included — to a
+  /// sequential replay of that stream.
+  Status AdoptLabelShards(const std::vector<SparseProportionalBase*>& shards);
+
   /// Pre-sizes the pool for about `count` standing tuples.
   void ReserveEntries(size_t count);
 
@@ -184,6 +198,7 @@ class SparseProportionalBase : public Tracker {
   /// stored tuples without a full reset (budget shrinking).
   void NoteAttributedDropped(double quantity) {
     attributed_generated_ -= quantity;
+    attributed_unmasked_ -= quantity;
   }
 
   // Declaration order is a destruction contract: buffers_ return their
@@ -197,6 +212,11 @@ class SparseProportionalBase : public Tracker {
   /// Standing attributed quantity: every deficit that reached a list,
   /// minus everything dropped since. See AlphaResidue().
   double attributed_generated_ = 0.0;
+  /// attributed_generated_ as it would stand without a label mask: the
+  /// same op sequence, but crediting every attributed deficit. Equal to
+  /// attributed_generated_ on an unrestricted tracker, and identical in
+  /// every label shard of a replay — the value AdoptLabelShards adopts.
+  double attributed_unmasked_ = 0.0;
 
  private:
   /// *dst = *dst + fraction * src[0..n), written into a fresh block of
@@ -212,6 +232,40 @@ class SparseProportionalBase : public Tracker {
   const uint8_t* label_mask_ = nullptr;
   size_t label_mask_size_ = 0;
 };
+
+/// The label-sharded exchange for one vertex: appends to `out` the
+/// interleave of v's disjoint label slices across `shards` into one
+/// label-sorted list, by repeated min-head selection (shard counts are
+/// small; slices are disjoint, so ties are impossible). Pure data
+/// movement — deterministic and free of floating-point arithmetic.
+/// `cursor` is caller-provided scratch of at least shards.size()
+/// elements. `Out` is a std::vector<ProvPair> or a SparseVector.
+template <typename Out>
+void InterleaveVertexSlices(const std::vector<SparseProportionalBase*>& shards,
+                            VertexId v, Out* out,
+                            std::vector<size_t>* cursor) {
+  const size_t count = shards.size();
+  size_t total_len = 0;
+  for (size_t s = 0; s < count; ++s) {
+    (*cursor)[s] = 0;
+    total_len += shards[s]->EntriesOf(v).size();
+  }
+  out->reserve(out->size() + total_len);
+  for (size_t picked = 0; picked < total_len; ++picked) {
+    size_t best = count;
+    VertexId best_origin = kInvalidVertex;
+    for (size_t s = 0; s < count; ++s) {
+      const SparseVector& list = shards[s]->EntriesOf(v);
+      if ((*cursor)[s] < list.size() &&
+          (best == count || list[(*cursor)[s]].origin < best_origin)) {
+        best = s;
+        best_origin = list[(*cursor)[s]].origin;
+      }
+    }
+    out->push_back(shards[best]->EntriesOf(v)[(*cursor)[best]]);
+    ++(*cursor)[best];
+  }
+}
 
 }  // namespace tinprov
 

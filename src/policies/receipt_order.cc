@@ -66,7 +66,9 @@ void ReceiptOrderTracker::Deposit(VertexId v, const ProvPair& entry) {
     buffer.Back().quantity += entry.quantity;
     return;
   }
+  const size_t capacity = buffer.capacity();
   buffer.PushBack(entry);
+  ring_bytes_ += (buffer.capacity() - capacity) * sizeof(ProvPair);
   ++num_entries_;
 }
 
@@ -89,14 +91,10 @@ size_t ReceiptOrderTracker::MemoryUsage() const {
 
 size_t ReceiptOrderTracker::MemoryBytes() const {
   // Ring capacities, not live tuples: what the allocator is actually
-  // holding for this tracker. O(|V|), sampled per batch.
-  size_t bytes = totals_.capacity() * sizeof(double) +
-                 buffers_.capacity() * sizeof(RingDeque<ProvPair>) +
-                 scratch_.capacity() * sizeof(ProvPair);
-  for (const RingDeque<ProvPair>& buffer : buffers_) {
-    bytes += buffer.capacity() * sizeof(ProvPair);
-  }
-  return bytes;
+  // holding for this tracker.
+  return totals_.capacity() * sizeof(double) +
+         buffers_.capacity() * sizeof(RingDeque<ProvPair>) +
+         scratch_.capacity() * sizeof(ProvPair) + ring_bytes_;
 }
 
 void ReceiptOrderTracker::PublishMetrics() const {
@@ -119,6 +117,7 @@ Status ReceiptOrderTracker::RestoreStateBody(ByteReader* reader) {
   Status status = reader->ReadSpan(totals_.data(), totals_.size());
   if (!status.ok()) return status;
   num_entries_ = 0;
+  ring_bytes_ = 0;
   for (RingDeque<ProvPair>& buffer : buffers_) {
     buffer.clear();
     uint64_t count = 0;
@@ -131,6 +130,7 @@ Status ReceiptOrderTracker::RestoreStateBody(ByteReader* reader) {
       buffer.PushBack(entry);
     }
     num_entries_ += buffer.size();
+    ring_bytes_ += buffer.capacity() * sizeof(ProvPair);
   }
   return Status::Ok();
 }

@@ -40,7 +40,12 @@ class ReceiptOrderTracker : public Tracker {
   std::vector<RingDeque<ProvPair>> buffers_;
   std::vector<double> totals_;
   size_t num_entries_ = 0;
+  /// Bytes of every ring's capacity, kept current as rings grow (they
+  /// never shrink) and on restore, so MemoryBytes() is O(1).
+  size_t ring_bytes_ = 0;
   std::vector<ProvPair> scratch_;  // reused per interaction
+
+  friend class MemoryBytesReference;  // tests: the O(|V|) walk
 };
 
 class LifoTracker : public ReceiptOrderTracker {

@@ -99,8 +99,9 @@ class Tracker {
   /// reports the logical bytes (a floor every representation satisfies);
   /// trackers that over-allocate (pooled lists, ring deques, heaps)
   /// override it so the ingest/serve memory gauges see real
-  /// reservations, whatever the policy. May be O(num_vertices): callers
-  /// sample it once per batch, never per interaction.
+  /// reservations, whatever the policy. Must be O(1), like
+  /// MemoryUsage(): StreamIngestor samples it after every batch, so
+  /// per-vertex reservations are kept as running totals, never walked.
   virtual size_t MemoryBytes() const { return MemoryUsage(); }
 
   /// Publishes representation-specific obs/ gauges (pool bytes, alpha

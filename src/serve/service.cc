@@ -214,8 +214,12 @@ StatusOr<std::unique_ptr<ProvenanceService>>
 ProvenanceService::CreateWithHistory(
     const TrackerSpec& spec, const DatasetStats& stats,
     std::shared_ptr<const TimeTravelIndex> history, ServeOptions options) {
-  auto factory = TrackerRegistry::Global().Factory(spec, stats);
-  if (!factory.ok()) return factory.status();
+  // The sharded description carries the sequential factory too (the
+  // identical closure Factory() returns), plus what Catchup needs to
+  // shard a label-linear spec.
+  auto sharded = TrackerRegistry::Global().Sharded(spec, stats);
+  if (!sharded.ok()) return sharded.status();
+  const TrackerFactory& factory = sharded->sequential;
   std::vector<uint8_t> handoff;
   const std::vector<uint8_t>* handoff_state = nullptr;
 
@@ -231,7 +235,7 @@ ProvenanceService::CreateWithHistory(
     storage::RecoveredState recovered;
     if (options.durability.recover) {
       storage::RecoveryManager manager(env, options.durability.dir);
-      auto result = manager.Recover(*factory);
+      auto result = manager.Recover(factory);
       if (!result.ok()) return result.status();
       recovered = *std::move(result);
     }
@@ -245,7 +249,7 @@ ProvenanceService::CreateWithHistory(
             "recovered state, with DurabilityOptions::recover = false)");
       }
       auto index = storage::BuildRecoveredIndex(
-          recovered, stats.num_vertices, *factory,
+          recovered, stats.num_vertices, factory,
           options.durability.history_snapshot_interval);
       if (!index.ok()) return index.status();
       history = *std::move(index);
@@ -278,7 +282,7 @@ ProvenanceService::CreateWithHistory(
     handoff_state = &handoff;
   }
   std::unique_ptr<ProvenanceService> service(new ProvenanceService(
-      *std::move(factory), stats, options, std::move(history)));
+      *std::move(sharded), stats, options, std::move(history)));
   service->durable_ = std::move(durable);
   service->durable_base_ = durable_base;
   const Status status = service->Init(handoff_state);
@@ -287,9 +291,9 @@ ProvenanceService::CreateWithHistory(
 }
 
 ProvenanceService::ProvenanceService(
-    TrackerFactory factory, const DatasetStats& stats,
-    const ServeOptions& options, std::shared_ptr<const TimeTravelIndex> history)
-    : factory_(std::move(factory)),
+    ShardedSpec spec, const DatasetStats& stats, const ServeOptions& options,
+    std::shared_ptr<const TimeTravelIndex> history)
+    : spec_(std::move(spec)),
       stats_(stats),
       options_(options),
       history_(std::move(history)),
@@ -315,7 +319,7 @@ ProvenanceService::~ProvenanceService() {
 }
 
 Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
-  live_tracker_ = factory_();
+  live_tracker_ = spec_.sequential();
   if (live_tracker_ == nullptr) {
     return Status::Internal("tracker factory returned null");
   }
@@ -561,21 +565,39 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
   }
   obs::TraceSpan span("serve.catchup", "serve");
 
-  // Set before ingesting: the live tracker is written in place, so
-  // even a failed catchup must not be retried over its partial prefix.
+  // Set before ingesting: a failed catchup may leave a partial prefix
+  // in the live tracker, so it must never be retried.
   caught_up_ = true;
-  IngestOptions ingest_options;
-  ingest_options.batch_size =
-      std::min(options_.ingest_batch, options_.epoch_interval);
-  ingest_options.initial_watermark = resume_watermark_;
-  StreamIngestor ingestor(live_tracker_.get(), ingest_options);
   // The tee keeps the retained log covering the catchup range, so
-  // historical delta replays work across it. This thread owns the
-  // writer-side state until Start().
+  // historical delta replays work across it. This thread pulls it and
+  // owns the writer-side state until Start().
   LogSink sink(this, stream.get());
-  const Status status = ingestor.IngestAll(sink);
-  catchup_stats_ = ingestor.stats();
-  if (!status.ok()) return status;
+  const size_t batch = std::min(options_.ingest_batch, options_.epoch_interval);
+  // The calling thread is part of the budget (it produces the stream),
+  // so the default leaves it one of the host's CPUs.
+  ParallelParams params = options_.catchup;
+  if (params.num_threads == 0) {
+    params.num_threads = std::max<size_t>(HardwareThreads(), 2) - 1;
+  }
+  const ShardedReplayEngine engine(stats_, spec_, params);
+  const size_t workers = std::min(params.num_threads, engine.ResolvedShards());
+  Status status;
+  if (workers >= 2) {
+    TINPROV_GAUGE_SET("serve.catchup_workers", workers);
+    status = CatchupSharded(engine, sink, batch);
+  } else {
+    TINPROV_GAUGE_SET("serve.catchup_workers", 0);
+    IngestOptions ingest_options;
+    ingest_options.batch_size = batch;
+    ingest_options.initial_watermark = resume_watermark_;
+    StreamIngestor ingestor(live_tracker_.get(), ingest_options);
+    status = ingestor.IngestAll(sink);
+    catchup_stats_ = ingestor.stats();
+  }
+  if (!status.ok()) {
+    catchup_failed_ = true;
+    return status;
+  }
 
   prefix_base_ = catchup_stats_.interactions;
   resume_watermark_ = std::max(resume_watermark_, catchup_stats_.watermark);
@@ -586,9 +608,44 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
                       std::max(catchup_stats_.watermark, history_watermark_));
 }
 
+Status ProvenanceService::CatchupSharded(const ShardedReplayEngine& engine,
+                                         InteractionStream& sink,
+                                         size_t batch) {
+  // Decomposable specs build pro-rata trackers: the factory is the
+  // unrestricted shard factory.
+  auto* target = dynamic_cast<SparseProportionalBase*>(live_tracker_.get());
+  if (target == nullptr) {
+    return Status::Internal("label-sharded catchup needs a pro-rata tracker");
+  }
+  Stopwatch watch;
+  Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
+  auto replayed = engine.ReplayStreamInto(sink, target, &watermark);
+  if (!replayed.ok()) return replayed.status();
+
+  // The accounting a StreamIngestor with this batch size would report:
+  // perfbench counts catchup batches as attempted operations.
+  const size_t n = *replayed;
+  IngestStats& stats = catchup_stats_;
+  stats.interactions = n;
+  stats.batches = (n + batch - 1) / batch;
+  stats.peak_batch = std::min(n, batch);
+  stats.watermark = watermark;
+  stats.tracker_peak_memory = live_tracker_->MemoryUsage();
+  stats.seconds = watch.ElapsedSeconds();
+  if (n > 0) {
+    PublishIngestProgress(stats, n, stats.batches, watermark, *live_tracker_);
+  }
+  return Status::Ok();
+}
+
 Status ProvenanceService::Start(std::unique_ptr<InteractionStream> stream) {
   if (stream == nullptr) {
     return Status::InvalidArgument("null ingest stream");
+  }
+  if (catchup_failed_) {
+    return Status::FailedPrecondition(
+        "a failed catchup left a partial prefix applied — discard the "
+        "service");
   }
   if (started_.exchange(true)) {
     return Status::FailedPrecondition("service already started");
@@ -633,16 +690,42 @@ QueryResult ProvenanceService::Provenance(VertexId v) const {
 }
 
 QueryResult ProvenanceService::TopOrigins(VertexId v, size_t k) const {
-  QueryResult result = Provenance(v);
-  if (!result.status.ok()) return result;
-  std::vector<ProvPair>& entries = result.buffer.entries;
-  if (k < entries.size()) {
-    std::partial_sort(entries.begin(), entries.begin() + k, entries.end(),
-                      TopOriginOrder);
-    entries.resize(k);
-  } else {
-    std::sort(entries.begin(), entries.end(), TopOriginOrder);
+  TINPROV_SCOPED_LATENCY_NS("serve.query_ns");
+  TINPROV_COUNTER_ADD("serve.queries", 1);
+  QueryResult result;
+  const std::shared_ptr<const EpochView> view = PinView();
+  const EpochView::Epoch& epoch = view->Latest();
+  result.epoch = epoch.info;
+  if (v >= stats_.num_vertices) {
+    result.status = Status::InvalidArgument("query vertex " +
+                                            std::to_string(v) +
+                                            " out of range");
+    return result;
   }
+  const Buffer& buffer = epoch.table->At(v);
+  result.buffer.total = buffer.total;
+  std::vector<ProvPair>& top = result.buffer.entries;
+  if (k >= buffer.entries.size()) {
+    top = buffer.entries;
+    std::sort(top.begin(), top.end(), TopOriginOrder);
+    return result;
+  }
+  // One pass over the shared answer keeping the k best in a heap whose
+  // front is the worst kept, so a hub's list is neither copied nor
+  // sorted whole. TopOriginOrder is a strict total order (origins are
+  // unique within a list), so the result is the unique top k.
+  top.reserve(k);
+  for (const ProvPair& entry : buffer.entries) {
+    if (top.size() < k) {
+      top.push_back(entry);
+      std::push_heap(top.begin(), top.end(), TopOriginOrder);
+    } else if (k > 0 && TopOriginOrder(entry, top.front())) {
+      std::pop_heap(top.begin(), top.end(), TopOriginOrder);
+      top.back() = entry;
+      std::push_heap(top.begin(), top.end(), TopOriginOrder);
+    }
+  }
+  std::sort_heap(top.begin(), top.end(), TopOriginOrder);
   return result;
 }
 
@@ -717,7 +800,7 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
       view->snapshots.begin(), view->snapshots.end(), target,
       [](size_t p, const EpochView::Snapshot& s) { return p < s.prefix; });
   const EpochView::Snapshot& snapshot = *(it - 1);
-  std::unique_ptr<Tracker> tracker = factory_();
+  std::unique_ptr<Tracker> tracker = spec_.sequential();
   if (tracker == nullptr) {
     result.status = Status::Internal("tracker factory returned null");
     return result;
@@ -823,6 +906,8 @@ std::string ProvenanceService::StatuszJson() const {
          JsonDouble(registry.GetGauge("ingest.watermark_lag")->Value());
   out += ",\"interactions\":" +
          std::to_string(registry.GetCounter("ingest.interactions")->Value());
+  out += ",\"catchup_workers\":" +
+         JsonDouble(registry.GetGauge("serve.catchup_workers")->Value());
   out += ",\"interactions_per_s\":" +
          JsonDouble(ops_recorder_ != nullptr
                         ? ops_recorder_->Rate("ingest.interactions")

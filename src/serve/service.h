@@ -158,11 +158,12 @@ struct ServeOptions {
   /// direct query methods never use the pool either way.
   size_t num_query_threads = 0;
 
-  /// Unused by Catchup(), which bulk-loads on the calling thread: the
-  /// vertex-sharded engine (parallel/sharded_ingest.h) it used to run
-  /// was slower at 3 workers than at 1 on perfbench's catchup-prop.
-  /// Still set by perfbench, whose layer rows drive that engine
-  /// directly; the field goes with them.
+  /// Used by Catchup(): the label-sharded replay layout for
+  /// label-linear specs (parallel/sharded_replay.h). num_threads counts
+  /// shard workers, which run beside the calling thread that pulls the
+  /// stream; 0 = one fewer than std::thread::hardware_concurrency(),
+  /// with a floor of 1. A layout that resolves to fewer than 2 workers
+  /// (or a spec that does not decompose) loads sequentially instead.
   ParallelParams catchup;
 
   // --- Ops plane (EnableOpsServer / the slow-query log) ------------------
@@ -219,24 +220,35 @@ class ProvenanceService {
   // --- Writer side -------------------------------------------------------
 
   /// Bulk-loads historical data before serving begins: drains `stream`
-  /// (owned) into the live tracker through a StreamIngestor on the
-  /// calling thread — the writer's own loop, minus the per-interval
-  /// epochs — and publishes the result as one epoch. Start() then
-  /// continues with the live tail from the catchup watermark. Must run
-  /// before Start(), at most once (a failed catchup leaves a partial
-  /// prefix applied, so the service must be discarded), from empty
-  /// state (no handoff index) and with durability off (the catchup
-  /// batches would bypass the durable log). With history retention on,
-  /// the catchup interactions land in the retained log, so
-  /// Provenance(v, t) works across the catchup range exactly as if the
-  /// writer had ingested it.
+  /// (owned) into the live tracker and publishes the result as one
+  /// epoch. Start() then continues with the live tail from the catchup
+  /// watermark. Label-linear specs (Prop-sparse, Windowed, Selective,
+  /// Grouped) load through label-sharded streaming replay whenever
+  /// ServeOptions::catchup resolves to 2 or more shard workers: the
+  /// calling thread pulls the stream and broadcasts it to the shards,
+  /// the live tracker replays as shard 0, and the other shards' lists
+  /// are then interleaved straight into it and freed before the
+  /// publish. Every other spec, and every 1-worker layout, runs a
+  /// StreamIngestor on the calling thread — the writer's own loop,
+  /// minus the per-interval epochs. Both arms leave the live
+  /// tracker bit-identical (SaveState bytes included) to a sequential
+  /// ingest; the serve.catchup_workers gauge says which one ran (0 =
+  /// sequential). Must run before Start(), at most once (a failed
+  /// catchup may leave a partial prefix applied, so the service then
+  /// refuses both a second Catchup() and Start() and must be
+  /// discarded), from empty state (no handoff index) and with
+  /// durability off (the catchup batches would bypass the durable log).
+  /// With history retention on, the catchup interactions land in the
+  /// retained log, so Provenance(v, t) works across the catchup range
+  /// exactly as if the writer had ingested it.
   Status Catchup(std::unique_ptr<InteractionStream> stream);
 
-  /// Catchup accounting. Valid after a successful Catchup().
+  /// Catchup accounting. Valid after a successful Catchup(). Batches
+  /// count min(ingest_batch, epoch_interval)-sized units on either arm.
   const IngestStats& catchup_stats() const { return catchup_stats_; }
 
   /// Starts the writer thread ingesting `stream` (owned). One ingest per
-  /// service.
+  /// service; FailedPrecondition after a failed Catchup().
   Status Start(std::unique_ptr<InteractionStream> stream);
 
   /// Blocks until the writer has drained its stream; returns the ingest
@@ -315,7 +327,7 @@ class ProvenanceService {
   class AnswerTable;  // service.cc: one epoch's path-copied answers
   struct EpochView;   // service.cc: the immutable published state
 
-  ProvenanceService(TrackerFactory factory, const DatasetStats& stats,
+  ProvenanceService(ShardedSpec spec, const DatasetStats& stats,
                     const ServeOptions& options,
                     std::shared_ptr<const TimeTravelIndex> history);
 
@@ -324,6 +336,11 @@ class ProvenanceService {
 
   /// Writer body: drains stream_, publishing epochs along the way.
   Status RunIngest();
+
+  /// Catchup's sharded arm: `engine` replays `sink` into the live
+  /// tracker, and catchup_stats_ gets `batch`-sized accounting.
+  Status CatchupSharded(const ShardedReplayEngine& engine,
+                        InteractionStream& sink, size_t batch);
 
   /// Writer (via LogSink): marks the pulled interaction's endpoints as
   /// changed and appends it to the chunked log (when history retention
@@ -352,7 +369,10 @@ class ProvenanceService {
   /// The kind switch Execute() wraps with id/latency/slow-log bookkeeping.
   QueryResult Dispatch(const QueryRequest& request) const;
 
-  TrackerFactory factory_;
+  /// The spec's sharded description: spec_.sequential builds every
+  /// tracker the service owns, and Catchup shards through the rest when
+  /// the spec is decomposable.
+  ShardedSpec spec_;
   DatasetStats stats_;
   ServeOptions options_;
   std::shared_ptr<const TimeTravelIndex> history_;
@@ -399,6 +419,7 @@ class ProvenanceService {
   std::atomic<bool> ingest_done_{false};
   bool ingest_joined_ = false;
   bool caught_up_ = false;
+  bool catchup_failed_ = false;
   Status ingest_status_;
   IngestStats final_ingest_stats_;
   IngestStats catchup_stats_;
@@ -413,6 +434,8 @@ class ProvenanceService {
   std::unique_ptr<obs::OpsServer> ops_server_;
   std::unique_ptr<obs::Recorder> ops_recorder_;
   std::vector<std::string> health_checks_;  // names registered, for teardown
+
+  friend class ProvenanceServiceTestPeer;  // tests: live-tracker SaveState
 };
 
 }  // namespace tinprov

@@ -78,22 +78,7 @@ Status StreamIngestor::IngestBatch(InteractionStream& stream, bool* done) {
   stats_.tracker_peak_memory =
       std::max(stats_.tracker_peak_memory, tracker_->MemoryUsage());
   stats_.seconds += watch.ElapsedSeconds();
-  TINPROV_COUNTER_ADD("ingest.interactions", batch_.size());
-  TINPROV_COUNTER_ADD("ingest.batches", 1);
-  TINPROV_GAUGE_SET("ingest.watermark", stats_.watermark);
-  // Pull-side minus published watermark: how far ahead the order check
-  // has read past the state the tracker has actually built.
-  TINPROV_GAUGE_SET("ingest.watermark_lag", pull_watermark_ - stats_.watermark);
-  TINPROV_GAUGE_MAX("ingest.peak_batch", stats_.peak_batch);
-  TINPROV_GAUGE_SET("memory.ingest_tracker_bytes", tracker_->MemoryUsage());
-  TINPROV_GAUGE_MAX("memory.ingest_tracker_peak_bytes",
-                    stats_.tracker_peak_memory);
-  // Allocator-level footprint and representation-specific gauges come
-  // from the tracker itself (virtual hooks), so every policy reports —
-  // the old dynamic_cast probe covered only the pro-rata family.
-  TINPROV_GAUGE_SET("memory.ingest_tracker_reserved_bytes",
-                    tracker_->MemoryBytes());
-  tracker_->PublishMetrics();
+  PublishIngestProgress(stats_, batch_.size(), 1, pull_watermark_, *tracker_);
   return Status::Ok();
 }
 
@@ -104,6 +89,29 @@ Status StreamIngestor::IngestAll(InteractionStream& stream) {
     if (!status.ok()) return status;
   }
   return Status::Ok();
+}
+
+void PublishIngestProgress(const IngestStats& stats, size_t interactions,
+                           size_t batches, Timestamp pull_watermark,
+                           const Tracker& tracker) {
+  // Read only by the metric macros, which TINPROV_METRICS=OFF removes.
+  (void)stats, (void)interactions, (void)batches, (void)pull_watermark;
+  TINPROV_COUNTER_ADD("ingest.interactions", interactions);
+  TINPROV_COUNTER_ADD("ingest.batches", batches);
+  TINPROV_GAUGE_SET("ingest.watermark", stats.watermark);
+  // Pull-side minus published watermark: how far ahead the order check
+  // has read past the state the tracker has actually built.
+  TINPROV_GAUGE_SET("ingest.watermark_lag", pull_watermark - stats.watermark);
+  TINPROV_GAUGE_MAX("ingest.peak_batch", stats.peak_batch);
+  TINPROV_GAUGE_SET("memory.ingest_tracker_bytes", tracker.MemoryUsage());
+  TINPROV_GAUGE_MAX("memory.ingest_tracker_peak_bytes",
+                    stats.tracker_peak_memory);
+  // Allocator-level footprint and representation-specific gauges come
+  // from the tracker itself (virtual hooks), so every policy reports —
+  // the old dynamic_cast probe covered only the pro-rata family.
+  TINPROV_GAUGE_SET("memory.ingest_tracker_reserved_bytes",
+                    tracker.MemoryBytes());
+  tracker.PublishMetrics();
 }
 
 void RegisterIngestHealthChecks(obs::HealthRegistry& registry,

@@ -106,6 +106,15 @@ class StreamIngestor {
   bool reserved_ = false;
 };
 
+/// Publishes the ingest.* counters and gauges for `interactions` applied
+/// in `batches` micro-batches, with `stats` already updated for them —
+/// what StreamIngestor does after every batch, exposed for pipelines
+/// that apply a stream by other means (ProvenanceService's sharded
+/// Catchup) so the ingest metrics cover them too.
+void PublishIngestProgress(const IngestStats& stats, size_t interactions,
+                           size_t batches, Timestamp pull_watermark,
+                           const Tracker& tracker);
+
 /// Registers the ingest-side health checks with `registry` (the ops
 /// plane calls this from ProvenanceService::EnableOpsServer):
 ///   ingest.watermark_lag  healthy while the pull-side watermark leads

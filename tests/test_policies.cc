@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -20,6 +21,34 @@
 #include "policies/tracker.h"
 
 namespace tinprov {
+
+// The O(|V|) capacity walk MemoryBytes() used to run after every batch,
+// kept here as the reference its running totals must equal.
+class MemoryBytesReference {
+ public:
+  static size_t Walk(const ReceiptOrderTracker& tracker) {
+    size_t bytes = tracker.totals_.capacity() * sizeof(double) +
+                   tracker.buffers_.capacity() * sizeof(RingDeque<ProvPair>) +
+                   tracker.scratch_.capacity() * sizeof(ProvPair);
+    for (const RingDeque<ProvPair>& buffer : tracker.buffers_) {
+      bytes += buffer.capacity() * sizeof(ProvPair);
+    }
+    return bytes;
+  }
+
+  template <typename Order>
+  static size_t Walk(const GenerationOrderTracker<Order>& tracker) {
+    size_t bytes =
+        tracker.totals_.capacity() * sizeof(double) +
+        tracker.buffers_.capacity() * sizeof(BinaryHeap<ProvTriple, Order>) +
+        tracker.scratch_.capacity() * sizeof(ProvTriple);
+    for (const BinaryHeap<ProvTriple, Order>& buffer : tracker.buffers_) {
+      bytes += buffer.capacity() * sizeof(ProvTriple);
+    }
+    return bytes;
+  }
+};
+
 namespace {
 
 constexpr double kTolerance = 1e-9;
@@ -372,6 +401,71 @@ TEST(TrackerTest, RejectsInvalidInteractions) {
         tracker->Process({0, 1, 1.0, std::nan("")}).ok())
         << PolicyName(kind);
   }
+}
+
+// MemoryBytes() is sampled after every StreamIngestor batch, so the
+// receipt- and generation-order trackers keep their ring/heap capacity
+// as a running total; it must equal the full walk after random streams,
+// after a restore into a fresh tracker, and after a restore over state.
+template <typename T>
+void ExpectMemoryBytesMatchesWalk(const std::string& name) {
+  for (const uint64_t seed : {3u, 17u, 29u}) {
+    GeneratorConfig config;
+    config.num_vertices = 50 + 20 * (seed % 4);
+    config.num_interactions = 4000;
+    config.src_skew = 1.2;
+    config.dst_skew = 1.0;
+    config.quantity_model = QuantityModel::kLogNormal;
+    config.self_loop_fraction = 0.05;
+    config.seed = seed;
+    auto tin = Generate(config);
+    ASSERT_TRUE(tin.ok());
+    const auto& log = tin->interactions();
+    const size_t n = tin->num_vertices();
+
+    T tracker(n);
+    EXPECT_EQ(tracker.MemoryBytes(), MemoryBytesReference::Walk(tracker));
+    for (size_t i = 0; i < log.size(); ++i) {
+      ASSERT_TRUE(tracker.Process(log[i]).ok());
+      if (i % 97 == 0) {
+        ASSERT_EQ(tracker.MemoryBytes(), MemoryBytesReference::Walk(tracker))
+            << name << " seed " << seed << " after " << i + 1;
+      }
+    }
+    EXPECT_EQ(tracker.MemoryBytes(), MemoryBytesReference::Walk(tracker))
+        << name << " seed " << seed;
+
+    std::vector<uint8_t> state;
+    tracker.SaveState(&state);
+    T fresh(n);
+    ASSERT_TRUE(fresh.RestoreState(state).ok());
+    EXPECT_EQ(fresh.MemoryBytes(), MemoryBytesReference::Walk(fresh))
+        << name << " seed " << seed << " restored fresh";
+
+    // Restoring an early snapshot over grown state: rings and heaps
+    // keep or replace capacity, and the total must follow either way.
+    T early(n);
+    for (size_t i = 0; i < log.size() / 10; ++i) {
+      ASSERT_TRUE(early.Process(log[i]).ok());
+    }
+    std::vector<uint8_t> early_state;
+    early.SaveState(&early_state);
+    ASSERT_TRUE(tracker.RestoreState(early_state).ok());
+    EXPECT_EQ(tracker.MemoryBytes(), MemoryBytesReference::Walk(tracker))
+        << name << " seed " << seed << " restored over state";
+    for (size_t i = log.size() / 10; i < log.size(); ++i) {
+      ASSERT_TRUE(tracker.Process(log[i]).ok());
+    }
+    EXPECT_EQ(tracker.MemoryBytes(), MemoryBytesReference::Walk(tracker))
+        << name << " seed " << seed << " resumed";
+  }
+}
+
+TEST(TrackerTest, MemoryBytesRunningTotalsMatchTheWalk) {
+  ExpectMemoryBytesMatchesWalk<FifoTracker>("FIFO");
+  ExpectMemoryBytesMatchesWalk<LifoTracker>("LIFO");
+  ExpectMemoryBytesMatchesWalk<LrbTracker>("LRB");
+  ExpectMemoryBytesMatchesWalk<MrbTracker>("MRB");
 }
 
 TEST(TrackerTest, PolicyNamesAreUnique) {

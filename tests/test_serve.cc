@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,11 +31,25 @@
 #include "lazy/time_travel.h"
 #include "obs/health.h"
 #include "obs/slowlog.h"
+#include "parallel/scheduler.h"
 #include "serve/request_queue.h"
 #include "serve/service.h"
+#include "stream/ingest.h"
 #include "stream/interaction_stream.h"
 
 namespace tinprov {
+
+// Reads the live tracker's SaveState bytes — valid whenever no writer
+// thread runs (before Start(), or after WaitIngest()).
+class ProvenanceServiceTestPeer {
+ public:
+  static std::vector<uint8_t> LiveState(const ProvenanceService& service) {
+    std::vector<uint8_t> state;
+    service.live_tracker_->SaveState(&state);
+    return state;
+  }
+};
+
 namespace {
 
 Tin GeneratedTin(size_t num_interactions = 3000) {
@@ -105,6 +120,15 @@ std::string SanitizeName(const ::testing::TestParamInfo<std::string>& info) {
                             }),
              name.end());
   return name;
+}
+
+// Pulls the unsigned integer following `"key":` out of hand-built JSON.
+uint64_t JsonField(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t pos = json.find(needle);
+  EXPECT_NE(pos, std::string::npos) << key << " missing in " << json;
+  if (pos == std::string::npos) return ~uint64_t{0};
+  return std::strtoull(json.c_str() + pos + needle.size(), nullptr, 10);
 }
 
 // ---------------------------------------------------------------------
@@ -651,6 +675,194 @@ TEST(ServeCatchupTest, LifecyclePreconditions) {
 }
 
 // ---------------------------------------------------------------------
+// (d3) Both Catchup arms — label-sharded replay for the label-linear
+// specs at 2+ shard workers, a StreamIngestor otherwise — must leave the
+// service bit-identical to a sequential ingest: every answer and the
+// live tracker's SaveState bytes, after the catchup and again after the
+// live tail. The stream has timestamp ties, Windowed resets land inside
+// the catchup, and the catchup broadcasts several chunks.
+
+using CatchupCase = std::tuple<std::string, size_t, size_t>;
+
+class ServeCatchupEquivalenceTest
+    : public ::testing::TestWithParam<CatchupCase> {};
+
+void ExpectServiceMatches(const ProvenanceService& service,
+                          const Tracker& reference,
+                          const std::string& context) {
+  for (VertexId v = 0; v < service.num_vertices(); ++v) {
+    const QueryResult result = service.Provenance(v);
+    ASSERT_TRUE(result.status.ok());
+    ExpectSameBuffer(reference.Provenance(v), result.buffer,
+                     context + " vertex " + std::to_string(v));
+  }
+  std::vector<uint8_t> expected;
+  reference.SaveState(&expected);
+  EXPECT_TRUE(ProvenanceServiceTestPeer::LiveState(service) == expected)
+      << context << ": live tracker SaveState bytes differ";
+}
+
+TEST_P(ServeCatchupEquivalenceTest, BothArmsMatchSequentialIngest) {
+  const auto& [name, threads, shards] = GetParam();
+  const Tin generated = GeneratedTin(3000);
+  std::vector<Interaction> log = generated.interactions();
+  for (size_t i = 0; i < log.size(); ++i) {
+    log[i].t = static_cast<Timestamp>(i / 3);  // runs of tied timestamps
+  }
+  const size_t n = generated.num_vertices();
+  const DatasetStats stats{n, log.size()};
+  const size_t split = 2 * log.size() / 3;
+  const std::vector<Interaction> head(log.begin(), log.begin() + split);
+  const std::vector<Interaction> tail(log.begin() + split, log.end());
+
+  TrackerSpec spec = StreamingSpec(name);
+  spec.params.window = 70;
+  ServeOptions options;
+  options.epoch_interval = 300;
+  options.ingest_batch = 128;
+  options.catchup.num_threads = threads;
+  options.catchup.num_shards = shards;
+  options.catchup.stream_chunk = 256;
+  auto service = ProvenanceService::Create(spec, stats, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE(
+      (*service)->Catchup(std::make_unique<VectorStream>(n, head)).ok());
+  const IngestStats& caught = (*service)->catchup_stats();
+  EXPECT_EQ(caught.interactions, split);
+  EXPECT_EQ(caught.watermark, head.back().t);
+  EXPECT_EQ(caught.batches, (split + 127) / 128);  // ingest_batch units
+  EXPECT_EQ((*service)->LatestEpoch().prefix, split);
+
+  auto factory = TrackerRegistry::Global().Factory(spec, stats);
+  ASSERT_TRUE(factory.ok());
+  std::unique_ptr<Tracker> reference = (*factory)();
+  StreamIngestor ingestor(reference.get());
+  VectorStream head_stream(n, head);
+  ASSERT_TRUE(ingestor.IngestAll(head_stream).ok());
+  ExpectServiceMatches(**service, *reference, name + " after catchup");
+
+  ASSERT_TRUE(
+      (*service)->Start(std::make_unique<VectorStream>(n, tail)).ok());
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+  VectorStream tail_stream(n, tail);
+  ASSERT_TRUE(ingestor.IngestAll(tail_stream).ok());
+  EXPECT_EQ((*service)->LatestEpoch().prefix, log.size());
+  ExpectServiceMatches(**service, *reference, name + " after the tail");
+}
+
+std::string CatchupCaseName(const ::testing::TestParamInfo<CatchupCase>& info) {
+  std::string name = std::get<0>(info.param);
+  name.erase(std::remove_if(name.begin(), name.end(),
+                            [](char c) {
+                              return !std::isalnum(
+                                  static_cast<unsigned char>(c));
+                            }),
+             name.end());
+  return name + "_threads" + std::to_string(std::get<1>(info.param)) +
+         "_shards" + std::to_string(std::get<2>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workers, ServeCatchupEquivalenceTest,
+    ::testing::Combine(::testing::ValuesIn(TrackerRegistry::Global().Names()),
+                       ::testing::Values(size_t{1}, size_t{2}, size_t{3}),
+                       ::testing::Values(size_t{0})),
+    CatchupCaseName);
+
+// More label shards than workers: each worker feeds several shards.
+INSTANTIATE_TEST_SUITE_P(
+    MoreShardsThanWorkers, ServeCatchupEquivalenceTest,
+    ::testing::Combine(::testing::ValuesIn(TrackerRegistry::Global().Names()),
+                       ::testing::Values(size_t{2}),
+                       ::testing::Values(size_t{5})),
+    CatchupCaseName);
+
+// serve.catchup_workers in /statusz names the arm that ran: the shard
+// worker count, or 0 for the sequential StreamIngestor.
+TEST(ServeCatchupTest, CatchupWorkersGaugeNamesTheArm) {
+  const Tin tin = GeneratedTin();
+  auto workers_after_catchup = [&](const std::string& name, size_t threads) {
+    ServeOptions options;
+    options.catchup.num_threads = threads;
+    auto service =
+        ProvenanceService::Create(StreamingSpec(name), tin.Stats(), options);
+    EXPECT_TRUE(service.ok());
+    EXPECT_TRUE((*service)->Catchup(std::make_unique<MaterializedStream>(tin))
+                    .ok());
+    return JsonField((*service)->StatuszJson(), "catchup_workers");
+  };
+#if defined(TINPROV_METRICS_ENABLED)
+  EXPECT_EQ(workers_after_catchup("Prop-sparse", 3), 3u);
+  EXPECT_EQ(workers_after_catchup("Grouped", 2), 2u);
+  EXPECT_EQ(workers_after_catchup("Prop-sparse", 1), 0u);
+  EXPECT_EQ(workers_after_catchup("FIFO", 3), 0u);
+  EXPECT_EQ(workers_after_catchup("Budget", 3), 0u);
+  // 0 leaves the calling thread one of the host's CPUs.
+  const size_t resolved = std::max<size_t>(HardwareThreads(), 2) - 1;
+  EXPECT_EQ(workers_after_catchup("Prop-sparse", 0),
+            resolved >= 2 ? resolved : 0u);
+#else
+  (void)workers_after_catchup;
+#endif
+}
+
+// A bad interaction mid-stream fails the sharded arm with the same
+// InvalidArgument the sequential one returns — an out-of-range endpoint
+// inside a shard worker, an out-of-order timestamp in the producer —
+// and the service then refuses a second Catchup and Start(), since its
+// live tracker holds a partial prefix.
+TEST(ServeCatchupTest, ShardedArmRejectsBadStreamsAndStaysClosed) {
+  const Tin tin = GeneratedTin();
+  const auto& log = tin.interactions();
+  const size_t n = tin.num_vertices();
+  for (const std::string name : {"Prop-sparse", "Windowed"}) {
+    for (const size_t threads : {size_t{2}, size_t{3}}) {
+      for (const bool bad_dst : {true, false}) {
+        const std::string context = name + " threads " +
+                                    std::to_string(threads) +
+                                    (bad_dst ? " bad dst" : " bad time");
+        ServeOptions options;
+        options.catchup.num_threads = threads;
+        options.catchup.stream_chunk = 128;  // the fault lands mid-stream
+        auto service =
+            ProvenanceService::Create(StreamingSpec(name), tin.Stats(),
+                                      options);
+        ASSERT_TRUE(service.ok());
+        std::vector<Interaction> bad(log.begin(), log.begin() + 2000);
+        if (bad_dst) {
+          bad[1500].dst = static_cast<VertexId>(n);
+        } else {
+          bad[1500].t = bad[0].t - 1.0;
+        }
+        EXPECT_EQ((*service)
+                      ->Catchup(std::make_unique<VectorStream>(n,
+                                                               std::move(bad)))
+                      .code(),
+                  StatusCode::kInvalidArgument)
+            << context;
+#if defined(TINPROV_METRICS_ENABLED)
+        EXPECT_EQ(JsonField((*service)->StatuszJson(), "catchup_workers"),
+                  threads)
+            << context;
+#endif
+        EXPECT_EQ((*service)
+                      ->Catchup(std::make_unique<VectorStream>(
+                          n, std::vector<Interaction>(log.begin(),
+                                                      log.begin() + 100)))
+                      .code(),
+                  StatusCode::kFailedPrecondition)
+            << context;
+        EXPECT_EQ((*service)
+                      ->Start(std::make_unique<MaterializedStream>(tin))
+                      .code(),
+                  StatusCode::kFailedPrecondition)
+            << context;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // (e) API edges: construction validation, top-k ordering, dispatch,
 // lifecycle, and ingest-error propagation.
 
@@ -793,15 +1005,6 @@ TEST(ServeApiTest, MemoryBytesCoversLogicalBytesForEveryTracker) {
 // (g) Ops plane: /statusz agrees with what a pinned reader sees, the
 // slow-query log tags queries on both entry points, and /healthz flips
 // to 503 the moment a registered check reports unhealthy.
-
-// Pulls the unsigned integer following `"key":` out of hand-built JSON.
-uint64_t JsonField(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = json.find(needle);
-  EXPECT_NE(pos, std::string::npos) << key << " missing in " << json;
-  if (pos == std::string::npos) return ~uint64_t{0};
-  return std::strtoull(json.c_str() + pos + needle.size(), nullptr, 10);
-}
 
 TEST(ServeOpsTest, StatuszJsonMatchesPinnedEpoch) {
   const Tin tin = GeneratedTin();
