@@ -1,55 +1,20 @@
-// Vertex-sharded parallel ingest of the pro-rata provenance trackers.
+// ShardedIngestEngine: the one bulk load from a stream to a full
+// tracker.
 //
-// The sharded replay engine (sharded_replay.h) partitions the
-// generation-LABEL space: every shard replays the full log and keeps
-// the label slice it owns. That parallelizes replay-style analytics,
-// but a serving pipeline ingests exactly once and wants the full
-// tracker at the end — re-scanning per shard and interleaving slices
-// is the wrong shape for it. This engine partitions the VERTEX space
-// instead: each shard owns a contiguous vertex range and maintains
-// exactly the per-vertex lists and balances of its range, because the
-// pro-rata update is linear per list too — an interaction reads src's
-// list, writes dst's list, and touches nothing else.
-//
-// The scalar bookkeeping (deficits, balances, the attribution
-// accounting, the subclass hooks) is REPLICATED: every shard replays
-// it for every interaction. It is O(1) per interaction — the Amdahl
-// floor the label-sharded replay already pays for its full-log scans —
-// and buys three properties:
-//   - `fraction` is locally computable in every shard, so the only
-//     cross-shard traffic is the transferred pair list itself;
-//   - total_generated and the attribution total evolve through the
-//     identical op sequence in every shard, giving a bit-exact
-//     divergence witness (checked at adoption);
-//   - a merged tracker (per-vertex state from each owner shard,
-//     replicated state from any shard) is bit-identical to a
-//     sequential StreamIngestor over the same stream — snapshots and
-//     further processing cannot tell the difference.
-//
-// When an interaction's endpoints live in different shards, the source
-// shard exports the moved share pre-scaled (the receiver merges at
-// factor 1.0, which is exact) through a per-shard-pair FIFO mailbox,
-// tagged with the interaction's global sequence number; the receiver
-// verifies the tag, so the exchange is deterministic regardless of
-// thread timing. Each shard runs on its own resident worker and
-// consumes the stream chunk-by-chunk from the same bounded broadcast
-// queue the streaming replay uses. Deadlock-freedom: workers process
-// interactions in the same global order, so the worker at the globally
-// minimal position can always act — the message it would pop can only
-// be owed by a worker at the same position (which pushes, since FIFO
-// order means the mailbox it pushes into cannot be full of older
-// messages the receiver skipped).
-//
-// Trackers that are not list-linear (the order-based policies;
-// BudgetTracker, whose shrink debits the attribution total from stored
-// tuples — partitioned state, so the replicated witness would diverge)
-// take a sequential StreamIngestor fallback inside the same engine:
-// one API, bit-identical results either way. The decomposable set is
-// exactly ShardedSpec's (the same linearity argument covers both).
+// Label-linear specs (ShardedSpec::decomposable: Prop-sparse, Windowed,
+// Selective, Grouped) load through label-sharded streaming replay
+// (ShardedReplayEngine::ReplayStreamInto, sharded_replay.h): the calling
+// thread pulls the stream and broadcasts it to the shard workers, the
+// result tracker replays as shard 0, and the other shards' lists are
+// interleaved straight into it and freed before the load returns. Every
+// other spec, every layout that resolves to fewer than 2 workers, and
+// every load that needs what the broadcast cannot give (a BatchSink, or
+// no time-order check) runs a StreamIngestor on the calling thread.
+// Either arm leaves the tracker bit-identical, SaveState bytes included,
+// to a sequential StreamIngestor over the same stream.
 #ifndef TINPROV_PARALLEL_SHARDED_INGEST_H_
 #define TINPROV_PARALLEL_SHARDED_INGEST_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -63,64 +28,65 @@ namespace tinprov {
 
 class InteractionStream;  // stream/interaction_stream.h
 
-/// Outcome of a sharded ingest: a live, queryable tracker plus the
-/// stats a pipeline observes about its ingestion.
+/// Outcome of a bulk load: the loaded tracker plus the stats a pipeline
+/// observes about its ingestion.
 struct ShardedIngestResult {
-  /// Bit-identical to what a sequential StreamIngestor over the same
-  /// stream would have produced on spec.sequential().
+  /// IngestStream's tracker, bit-identical to what a sequential
+  /// StreamIngestor over the same stream would have produced on
+  /// spec.sequential(). Null after IngestInto (the caller owns it).
   std::unique_ptr<Tracker> tracker;
-  /// Same fields StreamIngestor publishes (watermark, counters, wall
-  /// time); on the parallel path tracker_peak_memory is the merged
-  /// tracker's final footprint, not a per-batch sample.
+  /// Same fields StreamIngestor publishes, batches counted in
+  /// IngestOptions::batch_size units on either arm; on the parallel arm
+  /// tracker_peak_memory is the loaded tracker's final footprint, not
+  /// a per-batch sample.
   IngestStats stats;
-  /// False when the sequential fallback ran.
+  /// False when the sequential arm ran.
   bool used_parallel_path = false;
   size_t num_shards = 1;
+  /// Shard workers beside the producing thread (1 on the sequential
+  /// arm).
   size_t num_threads = 1;
-  /// Per-shard accounting (ShardInfo::labels counts owned vertices).
+  /// Per-shard accounting as the replay left it, before the exchange
+  /// grew shard 0 and freed the rest; empty on the sequential arm.
   std::vector<ShardInfo> shards;
 };
 
 class ShardedIngestEngine {
  public:
   /// `spec` names the tracker configuration (TrackerRegistry::Sharded
-  /// builds one); `params` sizes the shard/thread layout; `options`
-  /// carries the StreamIngestor contract (time order, initial
-  /// watermark, sink). A durability sink must observe batches only
-  /// after the tracker applied them, which serializes the pipeline —
-  /// options.sink != nullptr therefore routes through the sequential
-  /// fallback.
+  /// builds one); `params` sizes the layout, where num_threads counts
+  /// shard workers (0 = one fewer than HardwareThreads(), at least 1)
+  /// and num_shards label shards (0 = one per worker; more shards than
+  /// workers is valid); `options` carries the StreamIngestor contract
+  /// (batch size, time order, initial watermark, sink).
   ShardedIngestEngine(const DatasetStats& stats, ShardedSpec spec,
                       ParallelParams params = {}, IngestOptions options = {});
 
-  /// Drains `stream` once and returns the resulting tracker. Parallel
-  /// when the spec is decomposable and more than one shard resolves;
-  /// sequential StreamIngestor otherwise (same result either way).
+  /// Drains `stream` once into a fresh spec.sequential() tracker.
   StatusOr<ShardedIngestResult> IngestStream(InteractionStream& stream) const;
 
-  /// Threads the engine will actually use for shard workers. Unlike
-  /// the replay engine, shards and workers are 1:1 here — every shard
-  /// must be able to block on its mailboxes independently — so this is
-  /// also the shard count the parallel path runs with.
+  /// Drains `stream` once into `target`, a freshly constructed tracker
+  /// built like spec.sequential()'s (borrowed; ReserveHint()s already
+  /// applied are kept). A failed load may leave a partial prefix
+  /// applied to it.
+  StatusOr<ShardedIngestResult> IngestInto(InteractionStream& stream,
+                                           Tracker* target) const;
+
+  /// Shard workers the parallel arm runs; 0 when the sequential arm
+  /// runs.
+  size_t ResolvedWorkers() const { return workers_; }
+
+  /// Label shards a load runs: 1 on the sequential arm.
   size_t ResolvedShards() const;
 
-  /// vertex -> owning shard: contiguous ranges (exposed for tests).
-  static std::vector<uint32_t> AssignVertices(size_t num_vertices,
-                                              size_t num_shards);
-
  private:
-  /// True when this spec/params/options combination shards at all;
-  /// false means the sequential fallback runs.
-  bool UsesShards(size_t* num_shards) const;
-  StatusOr<ShardedIngestResult> SequentialIngest(
-      InteractionStream& stream) const;
-  StatusOr<ShardedIngestResult> ParallelIngest(InteractionStream& stream,
-                                               size_t num_shards) const;
+  StatusOr<ShardedIngestResult> ShardedLoad(InteractionStream& stream,
+                                            Tracker* target) const;
 
-  DatasetStats stats_;
-  ShardedSpec spec_;
-  ParallelParams params_;
+  TrackerFactory sequential_;
+  ShardedReplayEngine replay_;
   IngestOptions options_;
+  size_t workers_ = 0;
 };
 
 }  // namespace tinprov

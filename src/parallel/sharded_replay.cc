@@ -265,7 +265,7 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShards(
 
 StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
     InteractionStream& stream, size_t num_shards, size_t* interactions,
-    Timestamp* watermark_out, SparseProportionalBase* first) const {
+    Timestamp* watermark_inout, SparseProportionalBase* first) const {
   const size_t label_count = spec_.label_count;
   ShardRun run;
   run.num_shards = num_shards;
@@ -315,8 +315,8 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
 
   // The producer (calling thread) is the only one that touches the
   // stream; it also enforces the time-order contract the trackers rely
-  // on, exactly as StreamIngestor does.
-  Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
+  // on, exactly as StreamIngestor does, from the caller's floor.
+  Timestamp watermark = *watermark_inout;
   size_t pulled_total = 0;
   const auto pull_chunk = [&](std::vector<Interaction>* chunk) -> Status {
     chunk->clear();
@@ -463,8 +463,26 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
     }
   }
   *interactions = pulled_total;
-  *watermark_out = watermark;
+  *watermark_inout = watermark;
   return run;
+}
+
+std::vector<ShardInfo> ShardedReplayEngine::ShardInfos(const ShardRun& run) {
+  std::vector<ShardInfo> shards;
+  size_t pool_bytes = 0;
+  for (size_t s = 0; s < run.num_shards; ++s) {
+    ShardInfo info;
+    info.labels = run.labels_per_shard[s];
+    info.entries = run.trackers[s]->num_entries();
+    info.seconds = run.seconds[s];
+    info.pool_bytes = run.trackers[s]->PoolBytesReserved();
+    pool_bytes += info.pool_bytes;
+    shards.push_back(info);
+  }
+  TINPROV_COUNTER_ADD("parallel.replays", 1);
+  TINPROV_COUNTER_ADD("parallel.shards_run", run.num_shards);
+  TINPROV_GAUGE_SET("memory.shard_pool_bytes", pool_bytes);
+  return shards;
 }
 
 ShardedReplayResult ShardedReplayEngine::AssembleResult(
@@ -484,20 +502,10 @@ ShardedReplayResult ShardedReplayEngine::AssembleResult(
   result.totals.resize(n);
   result.entries.resize(n);
   result.total_generated = trackers[0]->total_generated();
-  size_t pool_bytes = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    result.num_entries += trackers[s]->num_entries();
-    ShardInfo info;
-    info.labels = run.labels_per_shard[s];
-    info.entries = trackers[s]->num_entries();
-    info.seconds = run.seconds[s];
-    info.pool_bytes = trackers[s]->PoolBytesReserved();
-    pool_bytes += info.pool_bytes;
-    result.shards.push_back(info);
+  result.shards = ShardInfos(run);
+  for (const ShardInfo& info : result.shards) {
+    result.num_entries += info.entries;
   }
-  TINPROV_COUNTER_ADD("parallel.replays", 1);
-  TINPROV_COUNTER_ADD("parallel.shards_run", shards);
-  TINPROV_GAUGE_SET("memory.shard_pool_bytes", pool_bytes);
 
   // Phase 2 (exchange): interleave the shards' disjoint label slices
   // back into full per-vertex lists. Pure data movement ordered by
@@ -548,7 +556,7 @@ StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayStream(
   }
   Stopwatch watch;
   size_t interactions = 0;
-  Timestamp watermark = 0;
+  Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
   auto executed =
       RunShardsStream(stream, shards, &interactions, &watermark, nullptr);
   if (!executed.ok()) return executed.status();
@@ -557,7 +565,7 @@ StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayStream(
 
 StatusOr<size_t> ShardedReplayEngine::ReplayStreamInto(
     InteractionStream& stream, SparseProportionalBase* target,
-    Timestamp* watermark) const {
+    Timestamp* watermark, std::vector<ShardInfo>* shard_infos) const {
   size_t shards = 0;
   if (!UsesShards(&shards)) {
     return Status::FailedPrecondition(
@@ -569,8 +577,9 @@ StatusOr<size_t> ShardedReplayEngine::ReplayStreamInto(
       RunShardsStream(stream, shards, &interactions, watermark, target);
   Status status = executed.status();
   if (status.ok()) {
-    TINPROV_COUNTER_ADD("parallel.replays", 1);
-    TINPROV_COUNTER_ADD("parallel.shards_run", shards);
+    // Taken before the exchange grows shard 0 and `executed` frees the
+    // others.
+    *shard_infos = ShardInfos(*executed);
     // Phase 2 (exchange) straight into the target's pool: the same
     // label interleave AssembleResult runs, minus the intermediate
     // result. The other shards are freed with `executed`.

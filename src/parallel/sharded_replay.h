@@ -41,8 +41,10 @@
 // bit-identical results, but the log is never materialized and
 // buffering stays constant. ReplayStreamInto runs the streaming mode
 // with a caller's tracker as shard 0 and interleaves the other shards'
-// lists straight into it instead of a materialized result:
-// ProvenanceService::Catchup's bulk load.
+// lists straight into it instead of a materialized result: the
+// parallel arm of ShardedIngestEngine (sharded_ingest.h), the one
+// stream -> full tracker bulk load, which ProvenanceService::Catchup
+// runs.
 #ifndef TINPROV_PARALLEL_SHARDED_REPLAY_H_
 #define TINPROV_PARALLEL_SHARDED_REPLAY_H_
 
@@ -184,13 +186,17 @@ class ShardedReplayEngine {
   /// (SparseProportionalBase::AdoptLabelShards), and every other shard
   /// is freed before this returns. On success target is bit-identical,
   /// SaveState bytes included, to a sequential replay of the stream;
-  /// returns the interactions replayed and sets `*watermark` to the last
-  /// one's timestamp. Requires ResolvedShards() > 1 (FailedPrecondition
-  /// otherwise: the caller owns the sequential path). A failed replay
-  /// leaves target unrestricted but holding a partial shard-0 state.
+  /// returns the interactions replayed, `*shard_infos` gets each
+  /// shard's accounting as the replay left it (before the exchange),
+  /// and `*watermark` — on entry the floor of the time-order check —
+  /// becomes the last interaction's timestamp. Requires
+  /// ResolvedShards() > 1 (FailedPrecondition otherwise: the caller
+  /// owns the sequential path). A failed replay leaves target
+  /// unrestricted but holding a partial shard-0 state.
   StatusOr<size_t> ReplayStreamInto(InteractionStream& stream,
                                     SparseProportionalBase* target,
-                                    Timestamp* watermark) const;
+                                    Timestamp* watermark,
+                                    std::vector<ShardInfo>* shard_infos) const;
 
   /// Replays the first min(prefix, log length) interactions — the
   /// historical-prefix shape shared with the lazy engine.
@@ -244,10 +250,15 @@ class ShardedReplayEngine {
   StatusOr<ShardRun> RunShards(size_t prefix, size_t num_shards) const;
   /// `first`, when non-null, runs as shard 0 in place of a tracker of
   /// the engine's own (it keeps shard 0's label mask on return).
+  /// `*watermark` is the order check's floor on entry and the last
+  /// pulled timestamp on return.
   StatusOr<ShardRun> RunShardsStream(InteractionStream& stream,
                                      size_t num_shards, size_t* interactions,
                                      Timestamp* watermark,
                                      SparseProportionalBase* first) const;
+  /// Per-shard accounting of an executed run; also publishes the
+  /// parallel.replays / shards_run / memory.shard_pool_bytes metrics.
+  static std::vector<ShardInfo> ShardInfos(const ShardRun& run);
   /// Phase 2 (exchange) + result bookkeeping, shared by ReplayPrefix
   /// and ReplayStream.
   ShardedReplayResult AssembleResult(const ShardRun& run,

@@ -110,152 +110,6 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
   return Status::Ok();
 }
 
-Status SparseProportionalBase::ProcessVertexSharded(
-    const Interaction& interaction, bool own_src, bool own_dst,
-    SparseVector* outgoing, const ProvPair* incoming, size_t incoming_len) {
-  if (own_src && own_dst) return Process(interaction);
-
-  // Mirrors Process() step for step — any change there needs its twin
-  // here, and the sharded-ingest equivalence tests in
-  // tests/test_parallel.cc pin the two together bit-for-bit. List work
-  // runs only on owned vertices; everything scalar is replicated.
-  auto deficit = CheckAndComputeDeficit(interaction, totals_);
-  if (!deficit.ok()) return deficit.status();
-  TINPROV_COUNTER_ADD("tracker.interactions", 1);
-  if (*deficit > 0.0) {
-    OnGenerated(interaction.src, *deficit);
-    if (AttributeGeneration(interaction.src)) {
-      if (own_src) {
-        SparseVector& src_buffer = buffers_[interaction.src];
-        const ProvPair entry{GenerationLabel(interaction.src), *deficit};
-        auto it = std::lower_bound(src_buffer.begin(), src_buffer.end(),
-                                   entry.origin,
-                                   [](const ProvPair& p, VertexId origin) {
-                                     return p.origin < origin;
-                                   });
-        if (it != src_buffer.end() && it->origin == entry.origin) {
-          it->quantity += entry.quantity;
-        } else {
-          if (src_buffer.empty()) ++num_nonempty_;
-          src_buffer.insert(it, entry);
-          ++num_entries_;
-        }
-      }
-      // Replicated even when the insert was another shard's: alpha and
-      // the attributed total must agree across shards bit-for-bit.
-      attributed_generated_ += *deficit;
-      attributed_unmasked_ += *deficit;
-    }
-    totals_[interaction.src] += *deficit;
-  }
-
-  if (interaction.quantity == 0.0 || interaction.src == interaction.dst) {
-    AfterInteraction(interaction);
-    return Status::Ok();
-  }
-
-  const double fraction =
-      std::min(1.0, interaction.quantity / totals_[interaction.src]);
-  if (own_src) {
-    // Source side of a cross-shard transfer: export the moved share
-    // (pre-scaled — the receiver merges at factor 1.0, and x * 1.0 is
-    // exact, so the split rounds exactly like Process()'s fused merge)
-    // and apply the source-keeps-(1 - f) update.
-    SparseVector& src_buffer = buffers_[interaction.src];
-    outgoing->clear();
-    if (fraction >= 1.0) {
-      outgoing->assign(src_buffer.begin(), src_buffer.end());
-      num_entries_ -= src_buffer.size();
-      if (!src_buffer.empty()) --num_nonempty_;
-      ReleaseList(&src_buffer);
-    } else if (!src_buffer.empty()) {
-      outgoing->ResizeUninitialized(src_buffer.size());
-      simd::ScaleCopyPairs(outgoing->data(), src_buffer.data(), fraction,
-                           src_buffer.size());
-      simd::ScalePairsInPlace(src_buffer.data(), 1.0 - fraction,
-                              src_buffer.size());
-    }
-  } else if (own_dst) {
-    SparseVector& dst_buffer = buffers_[interaction.dst];
-    const size_t dst_before = dst_buffer.size();
-    const bool dst_was_empty = dst_buffer.empty();
-    if (incoming_len > 0) {
-      MergeIntoList(&dst_buffer, incoming, incoming_len, 1.0);
-    }
-    if (dst_was_empty && !dst_buffer.empty()) ++num_nonempty_;
-    num_entries_ += dst_buffer.size() - dst_before;
-    TINPROV_HISTOGRAM_OBSERVE("tracker.list_len", dst_buffer.size());
-  }
-  totals_[interaction.src] -= interaction.quantity;
-  totals_[interaction.dst] += interaction.quantity;
-  AfterInteraction(interaction);
-  return Status::Ok();
-}
-
-Status SparseProportionalBase::AdoptVertexShards(
-    const std::vector<std::unique_ptr<SparseProportionalBase>>& shards,
-    const std::vector<uint32_t>& owner) {
-  if (shards.empty()) {
-    return Status::InvalidArgument("no shards to adopt");
-  }
-  if (owner.size() != totals_.size()) {
-    return Status::InvalidArgument("owner map covers " +
-                                   std::to_string(owner.size()) + " of " +
-                                   std::to_string(totals_.size()) +
-                                   " vertices");
-  }
-  if (num_entries_ != 0 || total_generated_ != 0.0) {
-    return Status::FailedPrecondition(
-        "adopting tracker must be freshly constructed");
-  }
-  for (const auto& shard : shards) {
-    if (shard == nullptr || typeid(*shard) != typeid(*this) ||
-        shard->totals_.size() != totals_.size()) {
-      return Status::InvalidArgument(
-          "shard tracker missing or of a different type/shape");
-    }
-  }
-  // The replicated scalars are the divergence witness: the vertex-
-  // sharded ingest replays them identically in every shard, so any
-  // mismatch means the tracker is not vertex-decomposable.
-  for (size_t s = 1; s < shards.size(); ++s) {
-    if (shards[s]->total_generated_ != shards[0]->total_generated_ ||
-        shards[s]->attributed_generated_ != shards[0]->attributed_generated_) {
-      return Status::Internal("shard " + std::to_string(s) +
-                              " replicated state diverged from shard 0");
-    }
-  }
-  for (size_t v = 0; v < totals_.size(); ++v) {
-    if (owner[v] >= shards.size()) {
-      return Status::InvalidArgument("owner map names shard " +
-                                     std::to_string(owner[v]) + " of " +
-                                     std::to_string(shards.size()));
-    }
-    const SparseProportionalBase& from = *shards[owner[v]];
-    totals_[v] = from.totals_[v];
-    const SparseVector& list = from.buffers_[v];
-    buffers_[v].assign(list.data(), list.data() + list.size());
-    num_entries_ += list.size();
-    if (!list.empty()) ++num_nonempty_;
-  }
-  total_generated_ = shards[0]->total_generated_;
-  attributed_generated_ = shards[0]->attributed_generated_;
-  attributed_unmasked_ = attributed_generated_;
-  // Aux state (window position, selective stats, ...) is replicated
-  // too; round-trip shard 0's through the snapshot hooks so every
-  // subclass adopts it without a dedicated virtual.
-  std::vector<uint8_t> aux;
-  ByteWriter writer(&aux);
-  shards[0]->SaveAuxState(&writer);
-  ByteReader reader(aux.data(), aux.size());
-  Status status = RestoreAuxState(&reader);
-  if (!status.ok()) return status;
-  if (reader.remaining() != 0) {
-    return Status::Internal("aux state adoption left trailing bytes");
-  }
-  return Status::Ok();
-}
-
 Status SparseProportionalBase::AdoptLabelShards(
     const std::vector<SparseProportionalBase*>& shards) {
   if (shards.empty() || shards[0] != this) {

@@ -101,45 +101,6 @@ class SparseProportionalBase : public Tracker {
   /// allocator-level footprint, distinct from the logical MemoryUsage().
   size_t PoolBytesReserved() const { return pool_.bytes_reserved(); }
 
-  // --- Vertex-sharded ingest hooks (src/parallel/sharded_ingest.h) ---
-  //
-  // The pro-rata transfer is also linear per *list*: each interaction
-  // reads src's list, writes dst's list, and touches nothing else, so a
-  // shard owning a subset of the vertices can maintain exactly its
-  // lists — provided it still sees every interaction. Balances,
-  // deficits, and the attribution accounting are therefore REPLICATED:
-  // every shard replays them for the full stream (they are O(1) scalar
-  // work per interaction, the Amdahl floor the label-sharded replay
-  // already pays), which keeps `fraction` locally computable, makes
-  // total_generated/attributed bit-identical in every shard (the
-  // divergence witness), and leaves only the transferred pair list to
-  // exchange between shards.
-
-  /// One interaction as seen by a shard that owns `own_src`/`own_dst`
-  /// of its endpoints. Owning both is exactly Process(); owning neither
-  /// replays the replicated bookkeeping only. Owning just the source
-  /// additionally writes the transferred share — already scaled by
-  /// `fraction`, so the receiver merges it at factor 1.0, which is
-  /// bit-exact — into `*outgoing` (cleared first; required non-null
-  /// when quantity > 0 and src != dst). Owning just the destination
-  /// merges `incoming[0..incoming_len)`, the source shard's outgoing
-  /// list for this same interaction, into dst's list.
-  Status ProcessVertexSharded(const Interaction& interaction, bool own_src,
-                              bool own_dst, SparseVector* outgoing,
-                              const ProvPair* incoming, size_t incoming_len);
-
-  /// Merges vertex-sharded ingest results into this freshly
-  /// constructed tracker: per-vertex lists and balances come from each
-  /// vertex's owning shard (`owner[v]` indexes `shards`), replicated
-  /// state from shard 0 after verifying the shards agree bit-for-bit.
-  /// All trackers must share this tracker's dynamic type and
-  /// configuration. On success this tracker is bit-identical to a
-  /// sequential ingest of the same stream — snapshots, further
-  /// Process() calls, and queries cannot tell the difference.
-  Status AdoptVertexShards(
-      const std::vector<std::unique_ptr<SparseProportionalBase>>& shards,
-      const std::vector<uint32_t>& owner);
-
   /// The paper's alpha: generated quantity whose provenance is NOT
   /// recorded in any list (declined attribution, masked labels, window
   /// resets, budget shrinks). Maintained incrementally — the standing

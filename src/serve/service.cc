@@ -16,6 +16,7 @@
 #include "obs/slowlog.h"
 #include "obs/trace.h"
 #include "parallel/scheduler.h"
+#include "parallel/sharded_ingest.h"
 #include "util/cpu.h"
 
 namespace tinprov {
@@ -572,32 +573,17 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
   // historical delta replays work across it. This thread pulls it and
   // owns the writer-side state until Start().
   LogSink sink(this, stream.get());
-  const size_t batch = std::min(options_.ingest_batch, options_.epoch_interval);
-  // The calling thread is part of the budget (it produces the stream),
-  // so the default leaves it one of the host's CPUs.
-  ParallelParams params = options_.catchup;
-  if (params.num_threads == 0) {
-    params.num_threads = std::max<size_t>(HardwareThreads(), 2) - 1;
-  }
-  const ShardedReplayEngine engine(stats_, spec_, params);
-  const size_t workers = std::min(params.num_threads, engine.ResolvedShards());
-  Status status;
-  if (workers >= 2) {
-    TINPROV_GAUGE_SET("serve.catchup_workers", workers);
-    status = CatchupSharded(engine, sink, batch);
-  } else {
-    TINPROV_GAUGE_SET("serve.catchup_workers", 0);
-    IngestOptions ingest_options;
-    ingest_options.batch_size = batch;
-    ingest_options.initial_watermark = resume_watermark_;
-    StreamIngestor ingestor(live_tracker_.get(), ingest_options);
-    status = ingestor.IngestAll(sink);
-    catchup_stats_ = ingestor.stats();
-  }
-  if (!status.ok()) {
+  IngestOptions ingest;
+  ingest.batch_size = std::min(options_.ingest_batch, options_.epoch_interval);
+  ingest.initial_watermark = resume_watermark_;
+  const ShardedIngestEngine engine(stats_, spec_, options_.catchup, ingest);
+  TINPROV_GAUGE_SET("serve.catchup_workers", engine.ResolvedWorkers());
+  auto loaded = engine.IngestInto(sink, live_tracker_.get());
+  if (!loaded.ok()) {
     catchup_failed_ = true;
-    return status;
+    return loaded.status();
   }
+  catchup_stats_ = loaded->stats;
 
   prefix_base_ = catchup_stats_.interactions;
   resume_watermark_ = std::max(resume_watermark_, catchup_stats_.watermark);
@@ -606,36 +592,6 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
   // Readers see the caught-up state the moment this returns.
   return PublishEpoch(prefix_base_,
                       std::max(catchup_stats_.watermark, history_watermark_));
-}
-
-Status ProvenanceService::CatchupSharded(const ShardedReplayEngine& engine,
-                                         InteractionStream& sink,
-                                         size_t batch) {
-  // Decomposable specs build pro-rata trackers: the factory is the
-  // unrestricted shard factory.
-  auto* target = dynamic_cast<SparseProportionalBase*>(live_tracker_.get());
-  if (target == nullptr) {
-    return Status::Internal("label-sharded catchup needs a pro-rata tracker");
-  }
-  Stopwatch watch;
-  Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
-  auto replayed = engine.ReplayStreamInto(sink, target, &watermark);
-  if (!replayed.ok()) return replayed.status();
-
-  // The accounting a StreamIngestor with this batch size would report:
-  // perfbench counts catchup batches as attempted operations.
-  const size_t n = *replayed;
-  IngestStats& stats = catchup_stats_;
-  stats.interactions = n;
-  stats.batches = (n + batch - 1) / batch;
-  stats.peak_batch = std::min(n, batch);
-  stats.watermark = watermark;
-  stats.tracker_peak_memory = live_tracker_->MemoryUsage();
-  stats.seconds = watch.ElapsedSeconds();
-  if (n > 0) {
-    PublishIngestProgress(stats, n, stats.batches, watermark, *live_tracker_);
-  }
-  return Status::Ok();
 }
 
 Status ProvenanceService::Start(std::unique_ptr<InteractionStream> stream) {

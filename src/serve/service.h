@@ -158,12 +158,12 @@ struct ServeOptions {
   /// direct query methods never use the pool either way.
   size_t num_query_threads = 0;
 
-  /// Used by Catchup(): the label-sharded replay layout for
-  /// label-linear specs (parallel/sharded_replay.h). num_threads counts
-  /// shard workers, which run beside the calling thread that pulls the
-  /// stream; 0 = one fewer than std::thread::hardware_concurrency(),
-  /// with a floor of 1. A layout that resolves to fewer than 2 workers
-  /// (or a spec that does not decompose) loads sequentially instead.
+  /// Used by Catchup(): the ShardedIngestEngine layout
+  /// (parallel/sharded_ingest.h). num_threads counts shard workers,
+  /// which run beside the calling thread that pulls the stream; 0 = one
+  /// fewer than std::thread::hardware_concurrency(), with a floor of 1.
+  /// A layout that resolves to fewer than 2 workers (or a spec that
+  /// does not decompose) loads sequentially instead.
   ParallelParams catchup;
 
   // --- Ops plane (EnableOpsServer / the slow-query log) ------------------
@@ -222,17 +222,16 @@ class ProvenanceService {
   /// Bulk-loads historical data before serving begins: drains `stream`
   /// (owned) into the live tracker and publishes the result as one
   /// epoch. Start() then continues with the live tail from the catchup
-  /// watermark. Label-linear specs (Prop-sparse, Windowed, Selective,
-  /// Grouped) load through label-sharded streaming replay whenever
-  /// ServeOptions::catchup resolves to 2 or more shard workers: the
-  /// calling thread pulls the stream and broadcasts it to the shards,
-  /// the live tracker replays as shard 0, and the other shards' lists
-  /// are then interleaved straight into it and freed before the
-  /// publish. Every other spec, and every 1-worker layout, runs a
+  /// watermark. The load is ShardedIngestEngine::IngestInto
+  /// (parallel/sharded_ingest.h) with the live tracker as its target,
+  /// laid out by ServeOptions::catchup: label-linear specs (Prop-sparse,
+  /// Windowed, Selective, Grouped) at 2 or more shard workers load
+  /// through label-sharded streaming replay with the live tracker as
+  /// shard 0; every other spec and every 1-worker layout runs a
   /// StreamIngestor on the calling thread — the writer's own loop,
-  /// minus the per-interval epochs. Both arms leave the live
-  /// tracker bit-identical (SaveState bytes included) to a sequential
-  /// ingest; the serve.catchup_workers gauge says which one ran (0 =
+  /// minus the per-interval epochs. Both arms leave the live tracker
+  /// bit-identical (SaveState bytes included) to a sequential ingest;
+  /// the serve.catchup_workers gauge says which one ran (0 =
   /// sequential). Must run before Start(), at most once (a failed
   /// catchup may leave a partial prefix applied, so the service then
   /// refuses both a second Catchup() and Start() and must be
@@ -336,11 +335,6 @@ class ProvenanceService {
 
   /// Writer body: drains stream_, publishing epochs along the way.
   Status RunIngest();
-
-  /// Catchup's sharded arm: `engine` replays `sink` into the live
-  /// tracker, and catchup_stats_ gets `batch`-sized accounting.
-  Status CatchupSharded(const ShardedReplayEngine& engine,
-                        InteractionStream& sink, size_t batch);
 
   /// Writer (via LogSink): marks the pulled interaction's endpoints as
   /// changed and appends it to the chunked log (when history retention

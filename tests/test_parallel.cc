@@ -370,8 +370,9 @@ TEST(ParallelWiringTest, MeasureTrackerParallelOptionRuns) {
 }
 
 // ---------------------------------------------------------------------
-// (d) Vertex-sharded ingest == sequential StreamIngestor, bit for bit,
-// for every decomposable registry tracker.
+// (d) ShardedIngestEngine (label-sharded replay into the result
+// tracker) == sequential StreamIngestor, bit for bit, for every
+// decomposable registry tracker.
 
 void ExpectSameTrackerState(const Tracker& expected, const Tracker& actual,
                             const std::string& context) {
@@ -387,11 +388,13 @@ void ExpectSameTrackerState(const Tracker& expected, const Tracker& actual,
 
 // Ingests `tin`'s log as a stream through both paths — sequential
 // StreamIngestor on spec.sequential(), and the sharded engine — and
-// requires bit-identical trackers plus matching ingest stats.
+// requires bit-identical trackers (SaveState bytes included) plus
+// matching ingest stats, and `expect_shards` label shards when nonzero.
 void ExpectIngestBitIdentical(const Tin& tin, const std::string& name,
                               const ParallelParams& parallel,
                               const std::string& context,
-                              bool expect_parallel_path = true) {
+                              bool expect_parallel_path = true,
+                              size_t expect_shards = 0) {
   const ScalableParams params = TestParams();
   auto spec = TrackerRegistry::Global().Sharded(
       {name, params, TrackerMode::kStreaming}, tin.Stats());
@@ -412,9 +415,17 @@ void ExpectIngestBitIdentical(const Tin& tin, const std::string& name,
   EXPECT_EQ(result->used_parallel_path, expect_parallel_path) << context;
 
   ExpectSameTrackerState(*reference, *result->tracker, context);
+  std::vector<uint8_t> expected_state, actual_state;
+  reference->SaveState(&expected_state);
+  result->tracker->SaveState(&actual_state);
+  EXPECT_TRUE(expected_state == actual_state)
+      << context << ": SaveState bytes differ";
   EXPECT_EQ(result->stats.interactions, ingestor.stats().interactions)
       << context;
   EXPECT_EQ(result->stats.watermark, ingestor.stats().watermark) << context;
+  if (expect_shards != 0) {
+    EXPECT_EQ(result->num_shards, expect_shards) << context;
+  }
 }
 
 class ShardedIngestTest : public ::testing::TestWithParam<std::string> {};
@@ -433,17 +444,25 @@ TEST_P(ShardedIngestTest, ShardCountSweepMatches) {
   const Tin tin = GeneratedTin();
   for (const size_t shards : {size_t{2}, size_t{3}, size_t{7}}) {
     ParallelParams parallel;
-    parallel.num_threads = shards;  // shards and workers are 1:1 here
+    parallel.num_threads = shards;  // one worker per shard
     parallel.num_shards = shards;
     ExpectIngestBitIdentical(tin, GetParam(), parallel,
                              GetParam() + "/ingest-shards" +
                                  std::to_string(shards));
   }
+  // More label shards than workers: each worker feeds several shards.
+  ParallelParams parallel;
+  parallel.num_threads = 2;
+  parallel.num_shards = 5;
+  ExpectIngestBitIdentical(tin, GetParam(), parallel,
+                           GetParam() + "/ingest-2-workers-5-shards",
+                           /*expect_parallel_path=*/true,
+                           /*expect_shards=*/5);
 }
 
 TEST_P(ShardedIngestTest, HandBuiltTinMatches) {
-  // 5 vertices, self-loop, deficit generation: the cross-shard exchange
-  // fires on nearly every interaction.
+  // 5 vertices, self-loop, deficit generation, two interactions per
+  // broadcast chunk.
   ParallelParams parallel;
   parallel.num_threads = 3;
   parallel.num_shards = 3;
@@ -492,7 +511,7 @@ TEST(ShardedIngestEngineTest, NonDecomposableNamesFallBackSequentially) {
 TEST(ShardedIngestEngineTest, SingleThreadFallsBackSequentially) {
   ParallelParams parallel;
   parallel.num_threads = 1;
-  parallel.num_shards = 4;  // shards clamp to threads: 1 shard, fallback
+  parallel.num_shards = 4;  // one worker: the sequential arm
   ExpectIngestBitIdentical(GeneratedTin(), "Prop-sparse", parallel,
                            "Prop-sparse/ingest-1-thread",
                            /*expect_parallel_path=*/false);
@@ -595,26 +614,6 @@ TEST(ShardedIngestEngineTest, ShardInfoAccountsEveryVertexOnce) {
   size_t vertices = 0;
   for (const ShardInfo& shard : result->shards) vertices += shard.labels;
   EXPECT_EQ(vertices, tin.num_vertices());
-}
-
-TEST(ShardedIngestEngineTest, AssignVerticesIsContiguousAndComplete) {
-  for (const auto& [vertices, shards] :
-       {std::pair<size_t, size_t>{10, 3}, {7, 7}, {100, 4}, {5, 1}}) {
-    const auto owner = ShardedIngestEngine::AssignVertices(vertices, shards);
-    ASSERT_EQ(owner.size(), vertices);
-    std::vector<size_t> counts(shards, 0);
-    for (size_t v = 0; v < vertices; ++v) {
-      ASSERT_LT(owner[v], shards);
-      ++counts[owner[v]];
-      // Contiguous ranges: the owner id never decreases.
-      if (v > 0) {
-        EXPECT_GE(owner[v], owner[v - 1]);
-      }
-    }
-    for (size_t s = 0; s < shards; ++s) {
-      EXPECT_GT(counts[s], 0u) << vertices << "/" << shards << " shard " << s;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
