@@ -2,7 +2,8 @@
 // thread count on the Table 6 presets. Not a paper experiment — the
 // paper's Section 8 names parallel provenance tracking as future work;
 // this harness measures the repo's realization of it: label-sharded
-// replay over a materialized log (src/parallel/sharded_replay.h) and
+// replay of a materialized log, broadcast to the shard workers
+// (src/parallel/sharded_replay.h), and
 // the bulk load of a stream into one full tracker that
 // ProvenanceService::Catchup runs (ShardedIngestEngine,
 // src/parallel/sharded_ingest.h: label-sharded streaming replay into
@@ -17,10 +18,14 @@
 // the shard count. Sparse networks with short lists are scan-bound and
 // gain little — the replicated scan is the Amdahl floor.
 //
-// The sweep is clamped to std::thread::hardware_concurrency() so the
-// recorded JSON reflects real parallelism; TINPROV_THREADS overrides
-// the cap, and rows beyond the hardware width are annotated as
-// oversubscribed (they exercise the scheduler, not the machine).
+// A row's thread count is its shard workers; every sharded row also
+// runs a producing thread that pulls the input and broadcasts it to
+// them. The
+// sweep is capped at std::thread::hardware_concurrency() - 1 workers so
+// the recorded JSON reflects real parallelism; TINPROV_THREADS
+// overrides the cap, and rows whose workers plus the producer exceed
+// the hardware width are annotated as oversubscribed (they exercise
+// the threading, not the machine).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -48,16 +53,20 @@ size_t HardwareWidth() {
   return hw == 0 ? 1 : hw;
 }
 
-// Sweep cap: the hardware width unless TINPROV_THREADS asks for more
-// (or less) explicitly.
+// Sweep cap: one worker fewer than the hardware width (the producer
+// takes a CPU), at least 1, unless TINPROV_THREADS asks for more (or
+// less) explicitly.
 size_t MaxThreads() {
   const char* env = std::getenv("TINPROV_THREADS");
   if (env != nullptr) {
     const long parsed = std::atol(env);
     if (parsed > 0) return static_cast<size_t>(parsed);
   }
-  return HardwareWidth();
+  return std::max<size_t>(HardwareWidth(), 2) - 1;
 }
+
+// True when `workers` plus the producing thread exceed the machine.
+bool Oversubscribed(size_t workers) { return workers + 1 > HardwareWidth(); }
 
 // 1, 2, 4, ... up to `cap`, always ending at `cap` itself.
 std::vector<size_t> ThreadSweep(size_t cap) {
@@ -70,7 +79,7 @@ std::vector<size_t> ThreadSweep(size_t cap) {
 // "4" on a wide-enough machine, "4*" when the row oversubscribes it.
 std::string ThreadLabel(size_t threads) {
   std::string label = std::to_string(threads);
-  if (threads > HardwareWidth()) label += "*";
+  if (Oversubscribed(threads)) label += "*";
   return label;
 }
 
@@ -78,7 +87,7 @@ std::string ThreadLabel(size_t threads) {
 // an oversubscribed sweep can never masquerade as a scaling result.
 std::string JsonSuffix(size_t threads) {
   std::string suffix = "/t" + std::to_string(threads);
-  if (threads > HardwareWidth()) suffix += "/oversub";
+  if (Oversubscribed(threads)) suffix += "/oversub";
   return suffix;
 }
 
@@ -92,9 +101,9 @@ int main() {
 
   const std::vector<size_t> thread_counts = ThreadSweep(MaxThreads());
   std::printf("hardware_concurrency = %zu%s\n\n", HardwareWidth(),
-              MaxThreads() > HardwareWidth()
-                  ? "  (* rows oversubscribe: scheduler exercise, not "
-                    "speedup)"
+              Oversubscribed(MaxThreads())
+                  ? "  (* rows oversubscribe with the producer: threading "
+                    "exercise, not speedup)"
                   : "");
 
   const ScalableParams params;  // defaults; Prop-sparse ignores them

@@ -11,7 +11,8 @@
 //   streaming          GeneratorStream -> StreamIngestor (micro-batches)
 //   streaming+sharded  GeneratorStream -> ShardedReplayEngine::ReplayStream
 //                      (bounded broadcast queue; sequential fallback on
-//                      single-thread machines)
+//                      machines of 2 CPUs or fewer, which resolve to one
+//                      worker beside the producer)
 //
 // The run fails (non-zero exit) if the streaming pipeline's peak
 // buffering is not independent of the stream length — the acceptance
@@ -104,7 +105,7 @@ int main() {
                    spec.status().ToString().c_str());
       return 1;
     }
-    ParallelParams parallel;  // hardware threads, one shard each
+    ParallelParams parallel;  // nproc - 1 workers, one shard each
     ShardedReplayEngine engine(
         DatasetStats{config.num_vertices, config.num_interactions},
         *std::move(spec), parallel);
@@ -132,11 +133,12 @@ int main() {
          FormatBytes(ingest.peak_batch * sizeof(Interaction)),
          FormatBytes(streaming->peak_memory),
          std::to_string(ingest.batches) + " batches, watermark-checked"});
-    // Annotate rows whose worker count exceeds the machine width — on
-    // a small host they measure scheduling, not parallel speedup.
+    // Annotate rows whose workers plus the producing thread exceed the
+    // machine width — on a small host they measure threading, not
+    // parallel speedup.
     const unsigned hw = std::thread::hardware_concurrency();
     const bool oversubscribed =
-        hw != 0 && sharded->num_threads > static_cast<size_t>(hw);
+        hw != 0 && sharded->num_threads + 1 > static_cast<size_t>(hw);
     table.AddRow(
         {"streaming+sharded", FormatSeconds(sharded->replay_seconds),
          FormatCompact(rate_base / std::max(sharded->replay_seconds, 1e-12),

@@ -5,31 +5,18 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/scheduler.h"
 #include "policies/proportional_base.h"
 #include "stream/interaction_stream.h"
 #include "util/stopwatch.h"
 
 namespace tinprov {
 
-namespace {
-
-/// num_threads = 0 leaves the producing thread one of the host's CPUs.
-ParallelParams ResolveWorkers(ParallelParams params) {
-  if (params.num_threads == 0) {
-    params.num_threads = std::max<size_t>(HardwareThreads(), 2) - 1;
-  }
-  return params;
-}
-
-}  // namespace
-
 ShardedIngestEngine::ShardedIngestEngine(const DatasetStats& stats,
                                          ShardedSpec spec,
                                          ParallelParams params,
                                          IngestOptions options)
     : sequential_(spec.sequential),
-      replay_(stats, std::move(spec), ResolveWorkers(params)),
+      replay_(stats, std::move(spec), params),
       options_(options) {
   // The broadcast producer always checks time order and has no point at
   // which a batch is applied by every shard, so a sink (which must see

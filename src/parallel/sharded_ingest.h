@@ -54,11 +54,11 @@ struct ShardedIngestResult {
 class ShardedIngestEngine {
  public:
   /// `spec` names the tracker configuration (TrackerRegistry::Sharded
-  /// builds one); `params` sizes the layout, where num_threads counts
-  /// shard workers (0 = one fewer than HardwareThreads(), at least 1)
-  /// and num_shards label shards (0 = one per worker; more shards than
-  /// workers is valid); `options` carries the StreamIngestor contract
-  /// (batch size, time order, initial watermark, sink).
+  /// builds one); `params` sizes the layout as for ShardedReplayEngine
+  /// (num_threads counts shard workers beside the producing thread, and
+  /// 0 resolves as ShardedReplayEngine::ResolvedThreads() does);
+  /// `options` carries the StreamIngestor contract (batch size, time
+  /// order, initial watermark, sink).
   ShardedIngestEngine(const DatasetStats& stats, ShardedSpec spec,
                       ParallelParams params = {}, IngestOptions options = {});
 

@@ -1,7 +1,6 @@
 #include "parallel/sharded_replay.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <limits>
@@ -37,7 +36,9 @@ ShardedReplayEngine::ShardedReplayEngine(const DatasetStats& stats,
     : tin_(nullptr), stats_(stats), spec_(std::move(spec)), params_(params) {}
 
 size_t ShardedReplayEngine::ResolvedThreads() const {
-  return params_.num_threads == 0 ? HardwareThreads() : params_.num_threads;
+  // 0 leaves the producing thread one of the host's CPUs.
+  if (params_.num_threads != 0) return params_.num_threads;
+  return std::max<size_t>(HardwareThreads(), 2) - 1;
 }
 
 size_t ShardedReplayEngine::ResolvedShards() const {
@@ -67,44 +68,15 @@ std::vector<GroupId> ShardedReplayEngine::AssignLabels(const Tin& tin,
   return RoundRobinGroups(label_count, num_shards);
 }
 
-StatusOr<ShardedReplayResult> ShardedReplayEngine::Replay() const {
-  if (tin_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine was built without a materialized log — use ReplayStream");
-  }
-  return ReplayPrefix(tin_->num_interactions());
-}
-
-StatusOr<std::unique_ptr<Tracker>> ShardedReplayEngine::MakeSequentialTracker()
-    const {
-  if (!spec_.sequential) {
-    return Status::FailedPrecondition(
-        "sharded spec has no sequential tracker factory");
-  }
-  std::unique_ptr<Tracker> tracker = spec_.sequential();
-  if (tracker == nullptr) {
-    return Status::Internal("sequential tracker factory returned null");
-  }
-  return tracker;
-}
-
-StatusOr<std::unique_ptr<Tracker>> ShardedReplayEngine::SequentialTracker(
-    size_t prefix) const {
-  auto tracker = MakeSequentialTracker();
-  if (!tracker.ok()) return tracker.status();
-  MaterializedStream stream(*tin_, prefix);
-  const Status status = (*tracker)->ProcessStream(stream);
-  if (!status.ok()) {
-    return Status(status.code(),
-                  "sequential replay: " + status.message());
-  }
-  return tracker;
-}
-
 namespace {
 
-/// Drains `tracker` into a materialized result — the sequential halves
-/// of both the prefix and the streaming paths end here.
+Status NoLog() {
+  return Status::FailedPrecondition(
+      "engine was built without a materialized log — use ReplayStream");
+}
+
+/// Drains `tracker` into a materialized result — the sequential arm of
+/// ReplayStream ends here.
 ShardedReplayResult MaterializeTracker(Tracker& tracker, size_t num_vertices,
                                        size_t interactions_replayed,
                                        double replay_seconds) {
@@ -126,30 +98,28 @@ ShardedReplayResult MaterializeTracker(Tracker& tracker, size_t num_vertices,
 
 }  // namespace
 
-StatusOr<ShardedReplayResult> ShardedReplayEngine::SequentialReplay(
-    size_t prefix) const {
-  Stopwatch watch;
-  auto replayed = SequentialTracker(prefix);
-  if (!replayed.ok()) return replayed.status();
-  const double replay_seconds = watch.ElapsedSeconds();
-  return MaterializeTracker(**replayed, tin_->num_vertices(), prefix,
-                            replay_seconds);
+StatusOr<ShardedReplayResult> ShardedReplayEngine::Replay() const {
+  // MaterializedStream clamps the prefix to the log length.
+  return ReplayPrefix(std::numeric_limits<size_t>::max());
 }
 
-StatusOr<ShardedReplayResult> ShardedReplayEngine::SequentialStreamReplay(
-    InteractionStream& stream) const {
-  auto tracker = MakeSequentialTracker();
-  if (!tracker.ok()) return tracker.status();
-  Stopwatch watch;
-  StreamIngestor ingestor(tracker->get());
+StatusOr<std::unique_ptr<Tracker>> ShardedReplayEngine::SequentialReplay(
+    InteractionStream& stream, size_t* interactions) const {
+  if (!spec_.sequential) {
+    return Status::FailedPrecondition(
+        "sharded spec has no sequential tracker factory");
+  }
+  std::unique_ptr<Tracker> tracker = spec_.sequential();
+  if (tracker == nullptr) {
+    return Status::Internal("sequential tracker factory returned null");
+  }
+  StreamIngestor ingestor(tracker.get());
   const Status status = ingestor.IngestAll(stream);
   if (!status.ok()) {
-    return Status(status.code(),
-                  "sequential stream replay: " + status.message());
+    return Status(status.code(), "sequential replay: " + status.message());
   }
-  return MaterializeTracker(**tracker, stats_.num_vertices,
-                            ingestor.stats().interactions,
-                            watch.ElapsedSeconds());
+  *interactions = ingestor.stats().interactions;
+  return tracker;
 }
 
 bool ShardedReplayEngine::UsesShards(size_t* num_shards) const {
@@ -206,64 +176,6 @@ void ShardedReplayEngine::ReserveShard(SparseProportionalBase* tracker,
 }
 
 StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShards(
-    size_t prefix, size_t num_shards) const {
-  const size_t threads = ResolvedThreads();
-  const size_t label_count = spec_.label_count;
-  ShardRun run;
-  run.num_shards = num_shards;
-  run.num_threads = std::min(threads, num_shards);
-  PartitionLabels(&run, num_shards);
-
-  // Phase 1: every shard replays the full prefix over its label slice.
-  run.owned.resize(num_shards);
-  run.seconds.assign(num_shards, 0.0);
-  std::vector<Status> statuses(num_shards, Status::Ok());
-  const auto& log = tin_->interactions();
-  WorkStealingScheduler scheduler(threads);
-  scheduler.ParallelFor(num_shards, [&](size_t s) {
-    obs::TraceSpan span("replay.shard", "parallel");
-    TINPROV_SCOPED_COUNTER_NS("parallel.shard_busy_ns");
-    Stopwatch watch;
-    std::unique_ptr<SparseProportionalBase> tracker = spec_.make_shard();
-    if (tracker == nullptr) {
-      statuses[s] = Status::Internal("shard tracker factory returned null");
-      return;
-    }
-    tracker->RestrictLabels(run.masks[s].data(), label_count);
-    ReserveShard(tracker.get(), prefix, num_shards);
-    for (size_t i = 0; i < prefix; ++i) {
-      const Status status = tracker->Process(log[i]);
-      if (!status.ok()) {
-        statuses[s] = Status(status.code(),
-                             "shard " + std::to_string(s) +
-                                 " replay at interaction " +
-                                 std::to_string(i) + ": " + status.message());
-        return;
-      }
-    }
-    run.owned[s] = std::move(tracker);
-    run.seconds[s] = watch.ElapsedSeconds();
-  });
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  for (const auto& tracker : run.owned) run.trackers.push_back(tracker.get());
-
-  // Replicated global state must agree bit-for-bit across shards, or
-  // the spec lied about being label-linear; total_generated is the
-  // cheapest complete witness (it accumulates every deficit in order).
-  for (size_t s = 1; s < num_shards; ++s) {
-    if (run.trackers[s]->total_generated() !=
-        run.trackers[0]->total_generated()) {
-      return Status::Internal(
-          "shard " + std::to_string(s) +
-          " diverged from shard 0 — tracker is not label-decomposable");
-    }
-  }
-  return run;
-}
-
-StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
     InteractionStream& stream, size_t num_shards, size_t* interactions,
     Timestamp* watermark_inout, SparseProportionalBase* first) const {
   const size_t label_count = spec_.label_count;
@@ -304,8 +216,7 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
       const Status status = run.trackers[s]->Process(interaction);
       if (!status.ok()) {
         return Status(status.code(), "shard " + std::to_string(s) +
-                                         " stream replay: " +
-                                         status.message());
+                                         " replay: " + status.message());
       }
     }
     run.seconds[s] += watch.ElapsedSeconds();
@@ -453,7 +364,9 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
     }
   }
 
-  // Same label-linearity witness as the materialized path.
+  // Replicated global state must agree bit-for-bit across shards, or
+  // the spec lied about being label-linear; total_generated is the
+  // cheapest complete witness (it accumulates every deficit in order).
   for (size_t s = 1; s < num_shards; ++s) {
     if (run.trackers[s]->total_generated() !=
         run.trackers[0]->total_generated()) {
@@ -490,7 +403,6 @@ ShardedReplayResult ShardedReplayEngine::AssembleResult(
     double replay_seconds) const {
   const auto& trackers = run.trackers;
   const size_t shards = run.num_shards;
-  const size_t threads = ResolvedThreads();
   const size_t n = stats_.num_vertices;
   ShardedReplayResult result;
   result.num_vertices = n;
@@ -510,55 +422,57 @@ ShardedReplayResult ShardedReplayEngine::AssembleResult(
   // Phase 2 (exchange): interleave the shards' disjoint label slices
   // back into full per-vertex lists. Pure data movement ordered by
   // label id — deterministic and free of floating-point arithmetic —
-  // parallelized over vertex blocks on the work-stealing scheduler
-  // (blocks vary wildly in list volume, which is exactly the skew
-  // stealing exists for).
+  // over 1024-vertex blocks, strided across the workers (worker w takes
+  // blocks w, w + W, ...; the caller is worker 0), which spreads blocks
+  // of uneven list volume without any claiming.
   obs::TraceSpan exchange_span("replay.exchange", "parallel");
   TINPROV_SCOPED_LATENCY_NS("parallel.exchange_ns");
   constexpr size_t kBlock = 1024;
   const size_t num_blocks = (n + kBlock - 1) / kBlock;
-  WorkStealingScheduler scheduler(threads);
-  scheduler.ParallelFor(num_blocks, [&](size_t block) {
+  const size_t workers = std::min(ResolvedThreads(), num_blocks);
+  const auto exchange = [&](size_t w) {
     std::vector<size_t> cursor(shards);
-    const VertexId begin = static_cast<VertexId>(block * kBlock);
-    const VertexId end =
-        static_cast<VertexId>(std::min(n, (block + 1) * kBlock));
-    for (VertexId v = begin; v < end; ++v) {
-      result.totals[v] = trackers[0]->BufferTotal(v);
-      InterleaveVertexSlices(trackers, v, &result.entries[v], &cursor);
+    for (size_t block = w; block < num_blocks; block += workers) {
+      const VertexId begin = static_cast<VertexId>(block * kBlock);
+      const VertexId end =
+          static_cast<VertexId>(std::min(n, (block + 1) * kBlock));
+      for (VertexId v = begin; v < end; ++v) {
+        result.totals[v] = trackers[0]->BufferTotal(v);
+        InterleaveVertexSlices(trackers, v, &result.entries[v], &cursor);
+      }
     }
-  });
+  };
+  std::vector<std::function<void()>> tasks;
+  for (size_t w = 1; w < workers; ++w) {
+    tasks.emplace_back([&exchange, w] { exchange(w); });
+  }
+  ResidentPool pool(std::move(tasks));
+  if (workers > 0) exchange(0);
+  pool.Join();
   return result;
 }
 
 StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayPrefix(
     size_t prefix) const {
-  if (tin_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine was built without a materialized log — use ReplayStream");
-  }
-  prefix = std::min(prefix, tin_->num_interactions());
-  size_t shards = 0;
-  if (!UsesShards(&shards)) {
-    return SequentialReplay(prefix);
-  }
-  Stopwatch watch;
-  auto executed = RunShards(prefix, shards);
-  if (!executed.ok()) return executed.status();
-  return AssembleResult(*executed, prefix, watch.ElapsedSeconds());
+  if (tin_ == nullptr) return NoLog();
+  MaterializedStream stream(*tin_, prefix);
+  return ReplayStream(stream);
 }
 
 StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayStream(
     InteractionStream& stream) const {
-  size_t shards = 0;
-  if (!UsesShards(&shards)) {
-    return SequentialStreamReplay(stream);
-  }
   Stopwatch watch;
+  size_t shards = 0;
   size_t interactions = 0;
+  if (!UsesShards(&shards)) {
+    auto tracker = SequentialReplay(stream, &interactions);
+    if (!tracker.ok()) return tracker.status();
+    return MaterializeTracker(**tracker, stats_.num_vertices, interactions,
+                              watch.ElapsedSeconds());
+  }
   Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
   auto executed =
-      RunShardsStream(stream, shards, &interactions, &watermark, nullptr);
+      RunShards(stream, shards, &interactions, &watermark, nullptr);
   if (!executed.ok()) return executed.status();
   return AssembleResult(*executed, interactions, watch.ElapsedSeconds());
 }
@@ -573,8 +487,7 @@ StatusOr<size_t> ShardedReplayEngine::ReplayStreamInto(
         "shard — ingest sequentially instead");
   }
   size_t interactions = 0;
-  auto executed =
-      RunShardsStream(stream, shards, &interactions, watermark, target);
+  auto executed = RunShards(stream, shards, &interactions, watermark, target);
   Status status = executed.status();
   if (status.ok()) {
     // Taken before the exchange grows shard 0 and `executed` frees the
@@ -597,22 +510,22 @@ StatusOr<size_t> ShardedReplayEngine::ReplayStreamInto(
 
 StatusOr<Buffer> ShardedReplayEngine::QueryPrefix(VertexId v,
                                                   size_t prefix) const {
-  if (tin_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine was built without a materialized log — use ReplayStream");
-  }
+  if (tin_ == nullptr) return NoLog();
   if (v >= tin_->num_vertices()) {
     return Status::InvalidArgument("query vertex " + std::to_string(v) +
                                    " out of range");
   }
-  prefix = std::min(prefix, tin_->num_interactions());
+  MaterializedStream stream(*tin_, prefix);
   size_t shards = 0;
+  size_t interactions = 0;
   if (!UsesShards(&shards)) {
-    auto replayed = SequentialTracker(prefix);
+    auto replayed = SequentialReplay(stream, &interactions);
     if (!replayed.ok()) return replayed.status();
     return (*replayed)->Provenance(v);
   }
-  auto executed = RunShards(prefix, shards);
+  Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
+  auto executed =
+      RunShards(stream, shards, &interactions, &watermark, nullptr);
   if (!executed.ok()) return executed.status();
 
   // Single-vertex exchange: the same interleave as ReplayPrefix's

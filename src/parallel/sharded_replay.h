@@ -28,23 +28,19 @@
 // decomposable here — unlike influence-cone slicing, every shard sees
 // every interaction, so its global reset counter advances identically.
 //
-// Shards are claimed by a small self-scheduling worker pool (each
-// worker steals the next unclaimed shard index), so uneven shards —
-// e.g. an activity-skewed label partition — keep all threads busy.
-// Each shard tracker owns its own arena-backed pool; no state is
-// shared between workers until the join.
-//
-// Two input modes share the engine: the materialized mode above (every
-// shard re-scans the immutable log) and a streaming mode (ReplayStream)
-// where a single pass of an InteractionStream is broadcast to the
-// shards chunk by chunk through a bounded queue — same math, same
-// bit-identical results, but the log is never materialized and
-// buffering stays constant. ReplayStreamInto runs the streaming mode
-// with a caller's tracker as shard 0 and interleaves the other shards'
-// lists straight into it instead of a materialized result: the
-// parallel arm of ShardedIngestEngine (sharded_ingest.h), the one
-// stream -> full tracker bulk load, which ProvenanceService::Catchup
-// runs.
+// One shard runner serves every entry point: the calling thread pulls
+// the input once and broadcasts it chunk by chunk through a bounded
+// queue to resident shard workers (shard s runs on worker s mod
+// workers), so buffering stays constant and every shard sees every
+// interaction in order. Replay, ReplayPrefix and QueryPrefix feed it a
+// MaterializedStream over the Tin; ReplayStream feeds it any
+// InteractionStream. Each shard tracker owns its own arena-backed pool;
+// no state is shared between workers until the join. ReplayStreamInto
+// runs the same broadcast with a caller's tracker as shard 0 and
+// interleaves the other shards' lists straight into it instead of a
+// materialized result: the parallel arm of ShardedIngestEngine
+// (sharded_ingest.h), the one stream -> full tracker bulk load, which
+// ProvenanceService::Catchup runs.
 #ifndef TINPROV_PARALLEL_SHARDED_REPLAY_H_
 #define TINPROV_PARALLEL_SHARDED_REPLAY_H_
 
@@ -77,20 +73,24 @@ enum class ShardStrategy {
 };
 
 struct ParallelParams {
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). With 1
-  /// the shards all run inline on the caller.
+  /// Shard workers beside the producing (calling) thread; 0 =
+  /// max(HardwareThreads(), 2) - 1, which leaves the producer one CPU.
+  /// With 1 the caller pulls and runs every shard inline.
   size_t num_threads = 0;
-  /// Label shards; 0 = one per thread. More shards than threads is
-  /// valid (and useful: the pool self-balances); shard counts are
-  /// clamped to the label-space size.
+  /// Label shards; 0 = one per worker. Shard s runs on worker
+  /// s mod workers. More shards than workers is valid but slower: each
+  /// shard repeats the scan, and a worker switches shard state on every
+  /// chunk (Prop-sparse, Prosper at TINPROV_SCALE=20, 3 workers on a
+  /// 4-CPU host: 0.62 s replay with 8 shards, 0.31 s with 3). Shard
+  /// counts are clamped to the label-space size.
   size_t num_shards = 0;
   ShardStrategy strategy = ShardStrategy::kActivity;
-  /// Streaming replay (ReplayStream) only: interactions per broadcast
-  /// chunk, and the bound on undrained chunks the producer queue may
-  /// hold. Each worker can additionally pin one in-flight chunk it is
-  /// processing after the queue popped it, so total pipeline buffering
-  /// is bounded by (stream_queue_chunks + workers) * stream_chunk
-  /// interactions — a constant, independent of stream length.
+  /// Interactions per broadcast chunk, and the bound on undrained
+  /// chunks the producer queue may hold. Each worker can additionally
+  /// pin one in-flight chunk it is processing after the queue popped
+  /// it, so total pipeline buffering is bounded by
+  /// (stream_queue_chunks + workers) * stream_chunk interactions — a
+  /// constant, independent of stream length.
   size_t stream_chunk = 4096;
   size_t stream_queue_chunks = 8;
 };
@@ -157,26 +157,23 @@ class ShardedReplayEngine {
                       ParallelParams params = {});
 
   /// Tin-free streaming form: the engine knows only the dataset shape.
-  /// ReplayStream is the sole replay entry point — the materialized
-  /// ones below need a log to (re-)scan and return FailedPrecondition —
-  /// and the kActivity strategy falls back to round-robin, since
-  /// activity balancing needs a log to measure.
+  /// ReplayStream and ReplayStreamInto are its replay entry points — the
+  /// ones below that take a prefix need a log to stream and return
+  /// FailedPrecondition — and the kActivity strategy falls back to
+  /// round-robin, since activity balancing needs a log to measure.
   ShardedReplayEngine(const DatasetStats& stats, ShardedSpec spec,
                       ParallelParams params = {});
 
-  /// Replays the whole log.
+  /// Replays the whole log: ReplayPrefix(log length).
   StatusOr<ShardedReplayResult> Replay() const;
 
-  /// Single-pass streaming replay: drains `stream` once, broadcasting
-  /// fixed-size chunks to every shard through a bounded queue (the
-  /// calling thread is the producer; shard workers consume each chunk
-  /// in order). Every shard still sees every interaction, so the result
-  /// is bit-identical to Replay() over the materialized equivalent —
-  /// but the log is never materialized and pipeline buffering stays
-  /// bounded by (stream_queue_chunks + workers) chunks. Enforces
-  /// non-decreasing timestamps like StreamIngestor. Non-decomposable
-  /// specs (or a single shard) drain the stream through the sequential
-  /// tracker instead, same result.
+  /// Single-pass replay: drains `stream` once, broadcasting fixed-size
+  /// chunks to every shard through a bounded queue (the calling thread
+  /// is the producer; shard workers consume each chunk in order), so
+  /// pipeline buffering stays bounded by (stream_queue_chunks +
+  /// workers) chunks. Enforces non-decreasing timestamps like
+  /// StreamIngestor. Non-decomposable specs (or a single shard) drain
+  /// the stream through the sequential tracker instead, same result.
   StatusOr<ShardedReplayResult> ReplayStream(InteractionStream& stream) const;
 
   /// ReplayStream into `target` — a freshly constructed tracker
@@ -199,7 +196,8 @@ class ShardedReplayEngine {
                                     std::vector<ShardInfo>* shard_infos) const;
 
   /// Replays the first min(prefix, log length) interactions — the
-  /// historical-prefix shape shared with the lazy engine.
+  /// historical-prefix shape shared with the lazy engine — as
+  /// ReplayStream over a MaterializedStream of that prefix.
   StatusOr<ShardedReplayResult> ReplayPrefix(size_t prefix) const;
 
   /// Single-vertex variant for per-query callers (the lazy engine):
@@ -209,7 +207,9 @@ class ShardedReplayEngine {
   /// ReplayPrefix(prefix)->Provenance(v).
   StatusOr<Buffer> QueryPrefix(VertexId v, size_t prefix) const;
 
-  /// Threads the engine will actually use.
+  /// Shard workers beside the producing thread: params.num_threads, or
+  /// max(HardwareThreads(), 2) - 1 when it is 0. A replay runs
+  /// min(this, ResolvedShards()) of them.
   size_t ResolvedThreads() const;
 
   /// Label shards a replay runs: 1 when it takes the sequential path
@@ -240,35 +240,31 @@ class ShardedReplayEngine {
   /// True when this spec/params combination shards at all; false means
   /// callers should take their sequential path.
   bool UsesShards(size_t* num_shards) const;
-  /// Label partition + masks for `num_shards` (phase 0), shared by the
-  /// materialized and streaming paths.
+  /// Label partition + masks for `num_shards` (phase 0).
   void PartitionLabels(ShardRun* run, size_t num_shards) const;
   /// Per-shard entry pre-sizing from an expected interaction count
   /// (0 = unknown, no reservation).
   static void ReserveShard(SparseProportionalBase* tracker,
                            size_t expected_interactions, size_t num_shards);
-  StatusOr<ShardRun> RunShards(size_t prefix, size_t num_shards) const;
-  /// `first`, when non-null, runs as shard 0 in place of a tracker of
-  /// the engine's own (it keeps shard 0's label mask on return).
-  /// `*watermark` is the order check's floor on entry and the last
-  /// pulled timestamp on return.
-  StatusOr<ShardRun> RunShardsStream(InteractionStream& stream,
-                                     size_t num_shards, size_t* interactions,
-                                     Timestamp* watermark,
-                                     SparseProportionalBase* first) const;
+  /// Phase 1, the one shard runner: broadcasts `stream` to
+  /// `num_shards` shards. `first`, when non-null, runs as shard 0 in
+  /// place of a tracker of the engine's own (it keeps shard 0's label
+  /// mask on return). `*watermark` is the order check's floor on entry
+  /// and the last pulled timestamp on return.
+  StatusOr<ShardRun> RunShards(InteractionStream& stream, size_t num_shards,
+                               size_t* interactions, Timestamp* watermark,
+                               SparseProportionalBase* first) const;
   /// Per-shard accounting of an executed run; also publishes the
   /// parallel.replays / shards_run / memory.shard_pool_bytes metrics.
   static std::vector<ShardInfo> ShardInfos(const ShardRun& run);
-  /// Phase 2 (exchange) + result bookkeeping, shared by ReplayPrefix
-  /// and ReplayStream.
+  /// Phase 2 (exchange) + result bookkeeping for ReplayStream.
   ShardedReplayResult AssembleResult(const ShardRun& run,
                                      size_t interactions_replayed,
                                      double replay_seconds) const;
-  StatusOr<ShardedReplayResult> SequentialReplay(size_t prefix) const;
-  StatusOr<ShardedReplayResult> SequentialStreamReplay(
-      InteractionStream& stream) const;
-  StatusOr<std::unique_ptr<Tracker>> SequentialTracker(size_t prefix) const;
-  StatusOr<std::unique_ptr<Tracker>> MakeSequentialTracker() const;
+  /// The sequential arm: drains `stream` into a fresh spec.sequential()
+  /// tracker through a StreamIngestor.
+  StatusOr<std::unique_ptr<Tracker>> SequentialReplay(
+      InteractionStream& stream, size_t* interactions) const;
 
   const Tin* tin_;  // null in the streaming-only form
   DatasetStats stats_;

@@ -877,7 +877,7 @@ std::string ProvenanceService::StatuszJson() const {
                                         : 0.0);
   out += ",\"slow_recorded\":" + std::to_string(slow.recorded());
   // The runtime block: which kernel table this process dispatches to
-  // (fixed at startup; see util/cpu.h) and the scheduler's shape.
+  // (fixed at startup; see util/cpu.h) and the host's width.
   out += "},\"runtime\":{\"simd\":\"";
   out += cpu::SimdLevelName(cpu::ActiveSimdLevel());
   out += "\",\"simd_detected\":\"";
@@ -885,10 +885,6 @@ std::string ProvenanceService::StatuszJson() const {
   out += "\",\"avx512\":";
   out += cpu::DetectAvx512() ? "true" : "false";
   out += ",\"num_threads\":" + std::to_string(HardwareThreads());
-  out += ",\"parallel_tasks\":" +
-         std::to_string(registry.GetCounter("parallel.tasks")->Value());
-  out += ",\"parallel_steals\":" +
-         std::to_string(registry.GetCounter("parallel.steals")->Value());
   out += "},\"memory\":{\"total_bytes\":" + JsonDouble(registry.MemoryBytes());
   for (const auto& [name, value] : registry.GaugeValues()) {
     if (name.rfind("memory.", 0) != 0) continue;

@@ -9,10 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -305,6 +305,23 @@ TEST(ShardedReplayEngineTest, AssignLabelsCoversEveryLabelOnce) {
     ASSERT_EQ(groups.size(), tin.num_vertices());
     for (const GroupId g : groups) EXPECT_LT(g, 4u);
   }
+}
+
+// num_threads = 0 has one meaning in both engines: nproc - 1 shard
+// workers beside the producing thread, at least one.
+TEST(ShardedReplayEngineTest, ZeroThreadsLeavesTheProducerACpu) {
+  const size_t workers = std::max<size_t>(HardwareThreads(), 2) - 1;
+  const DatasetStats stats{60, 0};
+  auto spec = TrackerRegistry::Global().Sharded(
+      {"Prop-sparse", TestParams(), TrackerMode::kStreaming}, stats);
+  ASSERT_TRUE(spec.ok());
+  const ShardedReplayEngine replay(stats, *spec, ParallelParams{});
+  EXPECT_EQ(replay.ResolvedThreads(), workers);
+  EXPECT_EQ(replay.ResolvedShards(), workers);
+  // The ingest engine's parallel arm needs two workers; below that it
+  // reports the sequential arm as 0.
+  const ShardedIngestEngine ingest(stats, *std::move(spec), ParallelParams{});
+  EXPECT_EQ(ingest.ResolvedWorkers(), workers >= 2 ? workers : 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -617,64 +634,92 @@ TEST(ShardedIngestEngineTest, ShardInfoAccountsEveryVertexOnce) {
 }
 
 // ---------------------------------------------------------------------
-// (e) Work-stealing scheduler unit tests.
+// (e) The exchange across several workers. 4,500 vertices make five
+// 1024-vertex blocks, so every worker interleaves at least one block,
+// and at 2 threads worker 0 takes blocks 0, 2 and 4.
 
-TEST(SchedulerTest, ParallelForCoversEveryIndexExactlyOnce) {
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-    for (const size_t count :
-         {size_t{0}, size_t{1}, size_t{3}, size_t{64}, size_t{1000}}) {
-      WorkStealingScheduler scheduler(threads);
-      EXPECT_EQ(scheduler.num_threads(), threads);
-      std::vector<std::atomic<int>> hits(count);
-      for (auto& h : hits) h.store(0);
-      scheduler.ParallelFor(count, [&](size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      });
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(hits[i].load(), 1)
-            << "threads=" << threads << " count=" << count << " i=" << i;
-      }
-    }
+Tin WideTin() {
+  GeneratorConfig config;
+  config.num_vertices = 4500;
+  config.num_interactions = 12000;
+  config.src_skew = 1.1;
+  config.dst_skew = 0.9;
+  config.quantity_model = QuantityModel::kLogNormal;
+  config.quantity_param1 = 1.0;
+  config.quantity_param2 = 1.0;
+  config.self_loop_fraction = 0.05;
+  config.seed = 43;
+  auto tin = Generate(config);
+  EXPECT_TRUE(tin.ok());
+  return std::move(tin).value();
+}
+
+// (threads, num_shards)
+class MultiWorkerExchangeTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(MultiWorkerExchangeTest, MatchesSequentialReplay) {
+  const Tin tin = WideTin();
+  const auto [threads, shards] = GetParam();
+  const std::string context =
+      "t" + std::to_string(threads) + "s" + std::to_string(shards);
+  ParallelParams parallel;
+  parallel.num_threads = threads;
+  parallel.num_shards = shards;
+  parallel.stream_chunk = 97;
+  ExpectBitIdentical(tin, "Prop-sparse", parallel, context + "/full");
+
+  // A prefix that ends inside a broadcast chunk.
+  const size_t prefix = 97 * 61 + 40;
+  const ScalableParams params = TestParams();
+  auto factory =
+      TrackerRegistry::Global().Factory({"Prop-sparse", params}, tin);
+  ASSERT_TRUE(factory.ok());
+  std::unique_ptr<Tracker> eager = (*factory)();
+  for (size_t i = 0; i < prefix; ++i) {
+    ASSERT_TRUE(eager->Process(tin.interactions()[i]).ok());
+  }
+  auto spec = TrackerRegistry::Global().Sharded({"Prop-sparse", params}, tin);
+  ASSERT_TRUE(spec.ok());
+  ShardedReplayEngine engine(tin, *std::move(spec), parallel);
+  auto result = engine.ReplayPrefix(prefix);
+  ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
+  EXPECT_TRUE(result->used_parallel_path) << context;
+  EXPECT_EQ(result->num_shards, shards) << context;
+  EXPECT_EQ(result->num_threads, threads) << context;
+  EXPECT_EQ(result->interactions_replayed, prefix) << context;
+  EXPECT_EQ(eager->total_generated(), result->total_generated) << context;
+  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
+    ExpectSameBuffer(eager->Provenance(v), result->Provenance(v),
+                     context + "/prefix vertex " + std::to_string(v));
+  }
+
+  // One sampled vertex per block, plus both ends of a block boundary.
+  for (const VertexId v : {VertexId{0}, VertexId{1023}, VertexId{1024},
+                           VertexId{2500}, VertexId{3100},
+                           VertexId{4499}}) {
+    auto buffer = engine.QueryPrefix(v, prefix);
+    ASSERT_TRUE(buffer.ok()) << context << ": " << buffer.status().ToString();
+    ExpectSameBuffer(eager->Provenance(v), *buffer,
+                     context + "/query vertex " + std::to_string(v));
   }
 }
 
-TEST(SchedulerTest, TasksStatAccumulatesAcrossCalls) {
-  WorkStealingScheduler scheduler(2);
-  scheduler.ParallelFor(10, [](size_t) {});
-  scheduler.ParallelFor(5, [](size_t) {});
-  EXPECT_EQ(scheduler.stats().tasks, 15u);
-}
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsByShards, MultiWorkerExchangeTest,
+    ::testing::Values(std::make_tuple(size_t{2}, size_t{2}),
+                      std::make_tuple(size_t{2}, size_t{5}),
+                      std::make_tuple(size_t{3}, size_t{3}),
+                      std::make_tuple(size_t{3}, size_t{5}),
+                      std::make_tuple(size_t{4}, size_t{4}),
+                      std::make_tuple(size_t{4}, size_t{5})),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
+      return "t" + std::to_string(std::get<0>(info.param)) + "s" +
+             std::to_string(std::get<1>(info.param));
+    });
 
-TEST(SchedulerTest, SingleThreadInlinePathNeverSteals) {
-  WorkStealingScheduler scheduler(1);
-  std::atomic<size_t> sum{0};
-  scheduler.ParallelFor(100, [&](size_t i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 4950u);
-  EXPECT_EQ(scheduler.stats().tasks, 100u);
-  EXPECT_EQ(scheduler.stats().steals, 0u);
-}
-
-TEST(SchedulerTest, SkewedBodiesStillCoverEverything) {
-  // A few indices are much slower than the rest; with more than one
-  // worker the fast workers drain their deques and steal. Coverage must
-  // hold regardless of how the steal races resolve.
-  WorkStealingScheduler scheduler(4);
-  const size_t count = 200;
-  std::vector<std::atomic<int>> hits(count);
-  for (auto& h : hits) h.store(0);
-  scheduler.ParallelFor(count, [&](size_t i) {
-    if (i < 4) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "i=" << i;
-  }
-  EXPECT_EQ(scheduler.stats().tasks, count);
-}
+// ---------------------------------------------------------------------
+// (f) Thread plumbing (scheduler.h).
 
 TEST(SchedulerTest, HardwareThreadsIsPositive) {
   EXPECT_GE(HardwareThreads(), 1u);
