@@ -17,7 +17,10 @@
 //     prefix of the generated stream and the recovered tracker state is
 //     bit-identical to a clean replay of that prefix. On mismatch the
 //     recovered and reference states are dumped next to the log
-//     (diff-*.bin) for the CI failure artifact, and the exit is 1.
+//     (diff-*.bin) for the CI failure artifact, and the exit is 1. Then
+//     a ProvenanceService restarted over the directory must answer
+//     historical Provenance(v, t) queries from its seeded history
+//     exactly as clean prefix replays do.
 #include <unistd.h>
 
 #include <algorithm>
@@ -160,7 +163,6 @@ int RunCrashIngest() {
   options.ingest_batch = 128;
   options.durability.dir = dir;
   options.durability.log.rotate_bytes = 256 * 1024;
-  options.durability.history_snapshot_interval = 2048;
 
   auto service = ProvenanceService::Create(spec, tin.Stats(), options);
   if (!service.ok()) {
@@ -268,14 +270,51 @@ int RunCrashVerify() {
     return 1;
   }
 
+  // Contract 3: a service restarted over the directory answers
+  // historical queries across the recovered prefix like clean prefix
+  // replays (its history is seeded from the log and snapshots above).
+  ServeOptions restart;
+  restart.durability.dir = dir;
+  auto service = ProvenanceService::Create(spec, tin.Stats(), restart);
+  if (!service.ok()) {
+    std::fprintf(stderr, "restart failed: %s\n",
+                 service.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<Interaction>& log = recovered->log;
+  const size_t history_probes = log.empty() ? 0 : 8;
+  std::unique_ptr<Tracker> replay = (*factory)();
+  size_t applied = 0;
+  for (size_t k = 0; k < history_probes; ++k) {
+    const Timestamp t = log[(log.size() - 1) * k / (history_probes - 1)].t;
+    const VertexId v =
+        static_cast<VertexId>((k * 37) % tin.num_vertices());
+    for (; applied < log.size() && log[applied].t <= t; ++applied) {
+      if (!replay->Process(log[applied]).ok()) return 2;
+    }
+    const QueryResult result = (*service)->Provenance(v, t);
+    const Buffer expected = replay->Provenance(v);
+    if (!result.status.ok() || result.buffer.total != expected.total ||
+        result.buffer.entries != expected.entries) {
+      std::fprintf(stderr,
+                   "historical answer after restart differs from a clean "
+                   "replay of prefix %zu (vertex %u): %s\n",
+                   applied, static_cast<unsigned>(v),
+                   result.status.ToString().c_str());
+      return 1;
+    }
+  }
+
   std::printf(
       "crash-verify: OK prefix=%llu/%zu snapshot_prefix=%llu replayed=%llu "
-      "torn=%zu corrupt=%zu dropped=%zu snapshots_skipped=%zu\n",
+      "torn=%zu corrupt=%zu dropped=%zu snapshots_skipped=%zu "
+      "history_probes=%zu\n",
       static_cast<unsigned long long>(recovered->prefix), data.size(),
       static_cast<unsigned long long>(recovered->snapshot_prefix),
       static_cast<unsigned long long>(recovered->replayed),
       recovered->torn_tails, recovered->corrupt_records,
-      recovered->segments_dropped, recovered->snapshots_skipped);
+      recovered->segments_dropped, recovered->snapshots_skipped,
+      history_probes);
   return 0;
 }
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Kill-loop crash test: repeatedly kill -9 a durable ingest mid-flight,
 # then recover the directory it left behind and verify the contract —
-# the trusted log is an exact prefix of the stream and the recovered
-# tracker state is bit-identical to a clean replay of that prefix
-# (bench_storage's TINPROV_CRASH_ROLE=ingest/verify modes do the work).
+# the trusted log is an exact prefix of the stream, the recovered
+# tracker state is bit-identical to a clean replay of that prefix, and
+# a service restarted over the directory answers historical queries
+# like clean prefix replays (bench_storage's TINPROV_CRASH_ROLE=
+# ingest/verify modes do the work).
 #
 # Usage: scripts/crash_smoke.sh [build-dir] [rounds]
 #   build-dir  default: build

@@ -72,13 +72,12 @@ Status TimeTravelIndex::Observe(const Interaction& interaction) {
   if (retain_log_) log_.push_back(interaction);
   ++observed_;
   if (observed_ % interval_ == 0) {
-    Snapshot snapshot;
-    snapshot.prefix = observed_;
+    auto state = std::make_shared<std::vector<uint8_t>>();
     {
       TINPROV_SCOPED_LATENCY_NS("timetravel.save_ns");
-      build_tracker_->SaveState(&snapshot.state);
+      build_tracker_->SaveState(state.get());
     }
-    snapshots_.push_back(std::move(snapshot));
+    snapshots_.push_back({observed_, std::move(state)});
     TINPROV_COUNTER_ADD("timetravel.snapshots", 1);
     TINPROV_GAUGE_SET("memory.timetravel_bytes", MemoryUsage());
   }
@@ -126,83 +125,20 @@ StatusOr<Buffer> TimeTravelIndex::Provenance(VertexId v, Timestamp t) const {
                                    " out of range");
   }
   const size_t prefix = PrefixLength(*tin_, t);
-  // Latest snapshot at or before the query prefix; none means the delta
-  // starts from a fresh tracker (t before the first checkpoint).
-  const auto it = std::upper_bound(
-      snapshots_.begin(), snapshots_.end(), prefix,
-      [](size_t p, const Snapshot& s) { return p < s.prefix; });
-  std::unique_ptr<Tracker> tracker = factory_();
-  if (tracker == nullptr) {
-    return Status::Internal("tracker factory returned null");
-  }
-  size_t start = 0;
-  if (it != snapshots_.begin()) {
-    const Snapshot& snapshot = *(it - 1);
-    TINPROV_SCOPED_LATENCY_NS("timetravel.restore_ns");
-    TINPROV_COUNTER_ADD("timetravel.restores", 1);
-    const Status status =
-        tracker->RestoreState(snapshot.state.data(), snapshot.state.size());
-    if (!status.ok()) {
-      return Status(status.code(), "restoring snapshot at prefix " +
-                                       std::to_string(snapshot.prefix) +
-                                       ": " + status.message());
-    }
-    start = snapshot.prefix;
-  }
   const auto& log = tin_->interactions();
-  for (size_t i = start; i < prefix; ++i) {
-    const Status status = tracker->Process(log[i]);
-    if (!status.ok()) {
-      return Status(status.code(), "delta replay at interaction " +
-                                       std::to_string(i) + ": " +
-                                       status.message());
-    }
-  }
-  TINPROV_COUNTER_ADD("timetravel.delta_interactions", prefix - start);
-  return tracker->Provenance(v);
-}
-
-Status TimeTravelIndex::SaveFinalState(std::vector<uint8_t>* out) const {
-  if (out == nullptr) {
-    return Status::InvalidArgument("null output buffer");
-  }
-  if (!finalized_) {
-    return Status::FailedPrecondition(
-        "time-travel index is still ingesting — call Finalize() first");
-  }
-  std::unique_ptr<Tracker> tracker = factory_();
-  if (tracker == nullptr) {
-    return Status::Internal("tracker factory returned null");
-  }
-  size_t start = 0;
-  if (!snapshots_.empty()) {
-    const Snapshot& snapshot = snapshots_.back();
-    const Status status =
-        tracker->RestoreState(snapshot.state.data(), snapshot.state.size());
-    if (!status.ok()) {
-      return Status(status.code(), "restoring snapshot at prefix " +
-                                       std::to_string(snapshot.prefix) + ": " +
-                                       status.message());
-    }
-    start = snapshot.prefix;
-  }
-  const auto& log = tin_->interactions();
-  for (size_t i = start; i < log.size(); ++i) {
-    const Status status = tracker->Process(log[i]);
-    if (!status.ok()) {
-      return Status(status.code(), "final-state replay at interaction " +
-                                       std::to_string(i) + ": " +
-                                       status.message());
-    }
-  }
-  tracker->SaveState(out);
-  return Status::Ok();
+  size_t replayed = 0;
+  auto tracker = RestoreAndReplay(
+      factory_, snapshots_, prefix,
+      [&log](size_t i) -> const Interaction& { return log[i]; }, &replayed);
+  if (!tracker.ok()) return tracker.status();
+  TINPROV_COUNTER_ADD("timetravel.delta_interactions", replayed);
+  return (*tracker)->Provenance(v);
 }
 
 size_t TimeTravelIndex::MemoryUsage() const {
   size_t bytes = 0;
-  for (const Snapshot& snapshot : snapshots_) {
-    bytes += snapshot.state.size() + sizeof(snapshot.prefix);
+  for (const StateSnapshot& snapshot : snapshots_) {
+    bytes += snapshot.state->size() + sizeof(snapshot.prefix);
   }
   bytes += log_.capacity() * sizeof(Interaction);
   if (owned_tin_ != nullptr) bytes += owned_tin_->MemoryUsage();

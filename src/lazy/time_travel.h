@@ -8,12 +8,17 @@
 // only the delta — O(snapshot + interval) instead of O(prefix) — at the
 // price of MemoryUsage() bytes of standing serialized state. bench_lazy
 // measures both sides of that trade.
+//
+// RestoreAndReplay below is that recipe's one implementation: the index,
+// ProvenanceService's retained history and storage recovery all run it.
 #ifndef TINPROV_LAZY_TIME_TRAVEL_H_
 #define TINPROV_LAZY_TIME_TRAVEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/buffer.h"
@@ -26,6 +31,55 @@
 namespace tinprov {
 
 class InteractionStream;  // stream/interaction_stream.h
+
+/// A tracker's SaveState image with the first `prefix` interactions of
+/// its log applied. Immutable and shared, so histories hand images
+/// around (and readers pin them) without copying.
+struct StateSnapshot {
+  size_t prefix = 0;
+  std::shared_ptr<const std::vector<uint8_t>> state;
+};
+
+/// Restore-nearest-snapshot-then-replay: a tracker from `factory`,
+/// restored from the newest of `snapshots` (ascending by prefix) at or
+/// before `target` (a fresh tracker when none is), with log_at(i)
+/// applied for every remaining i < target. By the SaveState/RestoreState
+/// resume contract this equals a fresh tracker processing log_at(0) ..
+/// log_at(target - 1), bit for bit. `*replayed`, when given, receives
+/// the number of interactions applied.
+template <typename LogAt>
+StatusOr<std::unique_ptr<Tracker>> RestoreAndReplay(
+    const TrackerFactory& factory, const std::vector<StateSnapshot>& snapshots,
+    size_t target, const LogAt& log_at, size_t* replayed = nullptr) {
+  const auto it = std::upper_bound(
+      snapshots.begin(), snapshots.end(), target,
+      [](size_t p, const StateSnapshot& s) { return p < s.prefix; });
+  std::unique_ptr<Tracker> tracker = factory();
+  if (tracker == nullptr) {
+    return Status::Internal("tracker factory returned null");
+  }
+  size_t start = 0;
+  if (it != snapshots.begin()) {
+    const StateSnapshot& snapshot = *(it - 1);
+    const Status status = tracker->RestoreState(*snapshot.state);
+    if (!status.ok()) {
+      return Status(status.code(), "restoring snapshot at prefix " +
+                                       std::to_string(snapshot.prefix) +
+                                       ": " + status.message());
+    }
+    start = snapshot.prefix;
+  }
+  for (size_t i = start; i < target; ++i) {
+    const Status status = tracker->Process(log_at(i));
+    if (!status.ok()) {
+      return Status(status.code(), "delta replay at interaction " +
+                                       std::to_string(i) + ": " +
+                                       status.message());
+    }
+  }
+  if (replayed != nullptr) *replayed = target - start;
+  return tracker;
+}
 
 class TimeTravelIndex {
  public:
@@ -88,17 +142,6 @@ class TimeTravelIndex {
   /// Interactions observed so far — the prefix length at watermark().
   size_t num_observed() const { return observed_; }
 
-  /// Serializes the tracker state at the index's watermark (every
-  /// observed interaction applied), appending to `out` in Tracker
-  /// SaveState() format: RestoreState() on an identically configured
-  /// tracker resumes replay bit-exactly after the last observed
-  /// interaction. Stateless — the index keeps no end-of-log tracker, so
-  /// this restores the newest snapshot and replays the tail delta (at
-  /// most snapshot_interval interactions). The serve layer uses this to
-  /// hand a historical index's final state to a live tracker.
-  /// FailedPrecondition before Finalize().
-  Status SaveFinalState(std::vector<uint8_t>* out) const;
-
   /// Standing bytes of serialized snapshot state plus the per-snapshot
   /// prefix bookkeeping (excluding container-header overhead, matching
   /// the Tracker::MemoryUsage() accounting convention). A streaming
@@ -107,11 +150,6 @@ class TimeTravelIndex {
   size_t MemoryUsage() const;
 
  private:
-  struct Snapshot {
-    size_t prefix = 0;  // interactions already applied to `state`
-    std::vector<uint8_t> state;
-  };
-
   TimeTravelIndex(size_t num_vertices, TrackerFactory factory,
                   size_t interval)
       : num_vertices_(num_vertices),
@@ -123,7 +161,7 @@ class TimeTravelIndex {
   std::unique_ptr<Tin> owned_tin_;    // streaming form owns its log
   TrackerFactory factory_;
   size_t interval_;
-  std::vector<Snapshot> snapshots_;
+  std::vector<StateSnapshot> snapshots_;
   std::unique_ptr<Tracker> build_tracker_;  // live between ctor and Finalize
   std::vector<Interaction> log_;      // retained arrivals (streaming form)
   bool retain_log_ = false;

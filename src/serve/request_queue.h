@@ -36,8 +36,9 @@ namespace tinprov {
 struct EpochInfo {
   /// Publish sequence number; 0 is the initial (pre-ingest) state.
   uint64_t seq = 0;
-  /// Interactions applied since the service started (handoff-relative:
-  /// a service seeded from a TimeTravelIndex counts from the handoff).
+  /// Log position: interactions applied since empty state, counting
+  /// those recovered from the durability directory and those loaded by
+  /// Catchup().
   size_t prefix = 0;
   /// The state is complete through this timestamp.
   Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
@@ -68,7 +69,7 @@ struct QueryResult {
   /// Execute (the direct reader methods).
   uint64_t query_id = 0;
   /// Log interactions delta-replayed to build the answer; 0 on the
-  /// epoch fast paths (latest epoch, ring hit, handoff index).
+  /// epoch fast paths (latest epoch, ring hit).
   size_t replayed_interactions = 0;
 };
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "lazy/time_travel.h"
 #include "obs/health.h"
 #include "obs/http.h"
 #include "obs/metrics.h"
@@ -142,11 +143,6 @@ struct ProvenanceService::EpochView {
     std::shared_ptr<const AnswerTable> table;
   };
 
-  struct Snapshot {
-    size_t prefix = 0;
-    std::shared_ptr<const std::vector<uint8_t>> state;
-  };
-
   /// Recent epochs, oldest first; back() is the newest and always
   /// present (epoch 0 is published before any reader exists).
   std::vector<std::shared_ptr<const Epoch>> ring;
@@ -157,10 +153,11 @@ struct ProvenanceService::EpochView {
   std::vector<std::shared_ptr<std::vector<Interaction>>> chunks;
 
   /// Retained SaveState images, ascending by prefix, for
-  /// nearest-snapshot + delta-replay historical queries: the prefix-0
-  /// initial/handoff state, then one per snapshot the log-volume rule
-  /// cut (ProvenanceService::SnapshotDue). Empty when retention is off.
-  std::vector<Snapshot> snapshots;
+  /// nearest-snapshot + delta-replay historical queries: the recovered
+  /// ones (see Init), then one per snapshot the log-volume rule cut
+  /// (ProvenanceService::SnapshotDue). Empty when retention is off;
+  /// below the first, replay starts from a fresh tracker.
+  std::vector<StateSnapshot> snapshots;
 
   const Epoch& Latest() const { return *ring.back(); }
 
@@ -208,100 +205,43 @@ class ProvenanceService::LogSink : public InteractionStream {
 
 StatusOr<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
     const TrackerSpec& spec, const DatasetStats& stats, ServeOptions options) {
-  return CreateWithHistory(spec, stats, nullptr, options);
-}
-
-StatusOr<std::unique_ptr<ProvenanceService>>
-ProvenanceService::CreateWithHistory(
-    const TrackerSpec& spec, const DatasetStats& stats,
-    std::shared_ptr<const TimeTravelIndex> history, ServeOptions options) {
   // The sharded description carries the sequential factory too (the
   // identical closure Factory() returns), plus what Catchup needs to
   // shard a label-linear spec.
   auto sharded = TrackerRegistry::Global().Sharded(spec, stats);
   if (!sharded.ok()) return sharded.status();
-  const TrackerFactory& factory = sharded->sequential;
-  std::vector<uint8_t> handoff;
-  const std::vector<uint8_t>* handoff_state = nullptr;
+  std::unique_ptr<ProvenanceService> service(
+      new ProvenanceService(*std::move(sharded), stats, options));
 
-  // Durability: recover whatever the directory holds, seed the service
-  // from it (state + history index), and open the log for appending at
-  // the recovered position.
-  std::unique_ptr<storage::DurableLog> durable;
-  uint64_t durable_base = 0;
+  // Durability: recover whatever the directory holds — the service's
+  // history and live state resume from it — and open the log for
+  // appending at the recovered position.
+  storage::RecoveredState recovered;
   if (options.durability.Enabled()) {
     storage::Env* env = options.durability.env != nullptr
                             ? options.durability.env
                             : storage::Env::Posix();
-    storage::RecoveredState recovered;
     if (options.durability.recover) {
       storage::RecoveryManager manager(env, options.durability.dir);
-      auto result = manager.Recover(factory);
+      auto result = manager.Recover(service->spec_.sequential);
       if (!result.ok()) return result.status();
       recovered = *std::move(result);
-    }
-    if (recovered.prefix > 0) {
-      if (history != nullptr) {
-        return Status::InvalidArgument(
-            "pass one source of pre-ingest history: the durability "
-            "directory already holds " +
-            std::to_string(recovered.prefix) +
-            " recovered interactions, drop the handoff index (or the "
-            "recovered state, with DurabilityOptions::recover = false)");
-      }
-      auto index = storage::BuildRecoveredIndex(
-          recovered, stats.num_vertices, factory,
-          options.durability.history_snapshot_interval);
-      if (!index.ok()) return index.status();
-      history = *std::move(index);
-      // The recovered SaveState bytes are the handoff — bit-identical
-      // to the index's SaveFinalState by the resume contract, without
-      // re-restoring a snapshot.
-      handoff = std::move(recovered.state);
-      handoff_state = &handoff;
     }
     auto log = storage::DurableLog::Open(env, options.durability.dir,
                                          recovered.prefix, recovered.next_seq,
                                          options.durability.log);
     if (!log.ok()) return log.status();
-    durable = *std::move(log);
-    durable_base = recovered.prefix;
+    service->durable_ = *std::move(log);
   }
-
-  if (history != nullptr && handoff_state == nullptr) {
-    if (!history->finalized()) {
-      return Status::FailedPrecondition(
-          "serve handoff needs a finalized time-travel index");
-    }
-    if (history->num_vertices() != stats.num_vertices) {
-      return Status::InvalidArgument(
-          "handoff index has " + std::to_string(history->num_vertices()) +
-          " vertices, service expects " + std::to_string(stats.num_vertices));
-    }
-    const Status status = history->SaveFinalState(&handoff);
-    if (!status.ok()) return status;
-    handoff_state = &handoff;
-  }
-  std::unique_ptr<ProvenanceService> service(new ProvenanceService(
-      *std::move(sharded), stats, options, std::move(history)));
-  service->durable_ = std::move(durable);
-  service->durable_base_ = durable_base;
-  const Status status = service->Init(handoff_state);
+  const Status status = service->Init(std::move(recovered));
   if (!status.ok()) return status;
   return service;
 }
 
-ProvenanceService::ProvenanceService(
-    ShardedSpec spec, const DatasetStats& stats, const ServeOptions& options,
-    std::shared_ptr<const TimeTravelIndex> history)
-    : spec_(std::move(spec)),
-      stats_(stats),
-      options_(options),
-      history_(std::move(history)),
-      history_watermark_(history_ != nullptr
-                             ? history_->watermark()
-                             : std::numeric_limits<Timestamp>::lowest()),
-      resume_watermark_(history_watermark_) {
+ProvenanceService::ProvenanceService(ShardedSpec spec,
+                                     const DatasetStats& stats,
+                                     const ServeOptions& options)
+    : spec_(std::move(spec)), stats_(stats), options_(options) {
   if (options_.epoch_interval == 0) options_.epoch_interval = 1;
   if (options_.ring_size == 0) options_.ring_size = 1;
   if (options_.ingest_batch == 0) options_.ingest_batch = 1;
@@ -319,19 +259,18 @@ ProvenanceService::~ProvenanceService() {
   if (writer_.joinable()) writer_.join();
 }
 
-Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
+Status ProvenanceService::Init(storage::RecoveredState recovered) {
   live_tracker_ = spec_.sequential();
   if (live_tracker_ == nullptr) {
     return Status::Internal("tracker factory returned null");
   }
   auto state = std::make_shared<std::vector<uint8_t>>();
-  if (handoff_state != nullptr) {
-    *state = *handoff_state;
+  if (recovered.prefix > 0) {
+    *state = std::move(recovered.state);
     const Status status = live_tracker_->RestoreState(*state);
     if (!status.ok()) {
       return Status(status.code(),
-                    "restoring handoff state into the live tracker (is the "
-                    "spec configured like the index's trackers?): " +
+                    "restoring the recovered state into the live tracker: " +
                         status.message());
     }
   } else {
@@ -340,27 +279,45 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
   live_tracker_->ReserveHint({stats_.num_vertices, stats_.num_interactions});
   changed_mark_.assign(stats_.num_vertices, 0);
   published_wide_changes_ = live_tracker_->WideChanges();
+  // Epoch prefixes are global log positions: a restart continues at the
+  // recovered one, and the recovered state is the last snapshot so far.
+  prefix_base_ = recovered.prefix;
+  resume_watermark_ = recovered.watermark;
+  snapshot_prefix_ = recovered.prefix;
   snapshot_image_bytes_ = state->size();
 
   // Epoch 0: the pre-ingest state, published before any reader or the
   // writer exists, so latest_ is never null and plain stores suffice.
   auto epoch = std::make_shared<EpochView::Epoch>();
   epoch->info.seq = next_seq_++;
-  epoch->info.prefix = 0;
-  epoch->info.watermark = history_watermark_;
+  epoch->info.prefix = recovered.prefix;
+  epoch->info.watermark = recovered.watermark;
   // A fresh tracker buffers nothing: every vertex starts empty.
   epoch->table = std::make_shared<const AnswerTable>(stats_.num_vertices);
-  if (handoff_state != nullptr) {
+  if (recovered.prefix > 0) {
     epoch->table =
         epoch->table->With(AllVertices(stats_.num_vertices),
                            [this](VertexId v) { return AnswerOf(v); });
   }
 
+  // The retained history resumes from the recovered one: the trusted log
+  // at its global positions, the on-disk snapshots (cut by the same
+  // log-volume rule, so the ones the crashed service held) and the
+  // recovered state itself.
   auto view = std::make_shared<EpochView>();
   view->ring.push_back(std::move(epoch));
   if (options_.retain_history) {
-    view->snapshots.push_back({0, state});
-    snapshot_bytes_ += state->size();
+    for (const Interaction& interaction : recovered.log) Retain(interaction);
+    view->chunks = chunks_;
+    view->snapshots = std::move(recovered.snapshots);
+    if (recovered.prefix > 0 && (view->snapshots.empty() ||
+                                 view->snapshots.back().prefix <
+                                     recovered.prefix)) {
+      view->snapshots.push_back({recovered.prefix, std::move(state)});
+    }
+    for (const StateSnapshot& snapshot : view->snapshots) {
+      snapshot_bytes_ += snapshot.state->size();
+    }
   }
   latest_ = std::move(view);
   last_publish_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
@@ -377,7 +334,10 @@ void ProvenanceService::AppendLog(const Interaction& interaction) {
       changed_.push_back(v);
     }
   }
-  if (!options_.retain_history) return;
+  if (options_.retain_history) Retain(interaction);
+}
+
+void ProvenanceService::Retain(const Interaction& interaction) {
   if (chunks_.empty() || chunks_.back()->size() == kChunkCapacity) {
     auto chunk = std::make_shared<std::vector<Interaction>>();
     chunk->reserve(kChunkCapacity);
@@ -467,14 +427,14 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   TINPROV_GAUGE_SET("memory.serve_log_bytes", log_size_ * sizeof(Interaction));
   TINPROV_GAUGE_SET("memory.serve_snapshot_bytes", snapshot_bytes_);
 
-  // Snapshot taken → persisted (at its global log position).
+  // Snapshot taken → persisted at its log position.
   // WriteSnapshot syncs the segment log first, so a snapshot on disk is
   // always backed by a durable log at least as long. Under kFailStop an
   // error surfaces as the ingest status; under kDegrade the log
   // absorbed it and flipped the storage.durability health check.
   if (durable_ != nullptr && image != nullptr) {
     const Status durable_status =
-        durable_->WriteSnapshot(durable_base_ + prefix, watermark, *image);
+        durable_->WriteSnapshot(prefix, watermark, *image);
     if (!durable_status.ok()) return durable_status;
   }
   return Status::Ok();
@@ -559,11 +519,6 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
         "catchup bypasses the durable log — run it with durability off and "
         "seed the directory separately");
   }
-  if (history_ != nullptr) {
-    return Status::FailedPrecondition(
-        "catchup starts from empty state; a handoff index already carries "
-        "the history");
-  }
   obs::TraceSpan span("serve.catchup", "serve");
 
   // Set before ingesting: a failed catchup may leave a partial prefix
@@ -585,13 +540,12 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
   }
   catchup_stats_ = loaded->stats;
 
-  prefix_base_ = catchup_stats_.interactions;
+  prefix_base_ += catchup_stats_.interactions;
   resume_watermark_ = std::max(resume_watermark_, catchup_stats_.watermark);
   TINPROV_COUNTER_ADD("serve.catchup_interactions",
                       catchup_stats_.interactions);
   // Readers see the caught-up state the moment this returns.
-  return PublishEpoch(prefix_base_,
-                      std::max(catchup_stats_.watermark, history_watermark_));
+  return PublishEpoch(prefix_base_, resume_watermark_);
 }
 
 Status ProvenanceService::Start(std::unique_ptr<InteractionStream> stream) {
@@ -703,22 +657,8 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
     return result;
   }
 
-  // Pre-handoff times belong to the time-travel index: its log covers
-  // everything strictly before the handoff watermark (the live log
-  // continues at or after it).
-  if (history_ != nullptr && t < history_watermark_) {
-    TINPROV_COUNTER_ADD("serve.history_queries", 1);
-    auto buffer = history_->Provenance(v, t);
-    if (!buffer.ok()) {
-      result.status = buffer.status();
-      return result;
-    }
-    result.buffer = *std::move(buffer);
-    return result;
-  }
-
-  // Live side. t at or past the epoch watermark resolves to the full
-  // published prefix, i.e. the latest epoch itself — the fast path.
+  // t at or past the epoch watermark resolves to the full published
+  // prefix, i.e. the latest epoch itself — the fast path.
   const size_t target =
       options_.retain_history
           ? view->UpperBound(t)
@@ -741,46 +681,26 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
   if (!options_.retain_history) {
     result.status = Status::FailedPrecondition(
         "historical query at t=" + std::to_string(t) +
-        " needs history retention (ServeOptions::retain_history) or a "
-        "handoff TimeTravelIndex");
+        " needs history retention (ServeOptions::retain_history)");
     return result;
   }
 
   // Nearest retained snapshot at or before the target, then delta
-  // replay of the pinned log — the TimeTravelIndex recipe, online.
-  // snapshots[0] (prefix 0, initial/handoff state) always exists, so
-  // the search cannot come up empty.
+  // replay of the pinned log.
   TINPROV_COUNTER_ADD("serve.historical_replays", 1);
   TINPROV_SCOPED_LATENCY_NS("serve.historical_replay_ns");
-  const auto it = std::upper_bound(
-      view->snapshots.begin(), view->snapshots.end(), target,
-      [](size_t p, const EpochView::Snapshot& s) { return p < s.prefix; });
-  const EpochView::Snapshot& snapshot = *(it - 1);
-  std::unique_ptr<Tracker> tracker = spec_.sequential();
-  if (tracker == nullptr) {
-    result.status = Status::Internal("tracker factory returned null");
+  size_t replayed = 0;
+  auto tracker = RestoreAndReplay(
+      spec_.sequential, view->snapshots, target,
+      [&view](size_t i) -> const Interaction& { return view->LogAt(i); },
+      &replayed);
+  if (!tracker.ok()) {
+    result.status = tracker.status();
     return result;
   }
-  Status status = tracker->RestoreState(*snapshot.state);
-  if (!status.ok()) {
-    result.status = Status(status.code(), "restoring snapshot at prefix " +
-                                              std::to_string(snapshot.prefix) +
-                                              ": " + status.message());
-    return result;
-  }
-  for (size_t i = snapshot.prefix; i < target; ++i) {
-    status = tracker->Process(view->LogAt(i));
-    if (!status.ok()) {
-      result.status = Status(status.code(), "delta replay at interaction " +
-                                                std::to_string(i) + ": " +
-                                                status.message());
-      return result;
-    }
-  }
-  TINPROV_HISTOGRAM_OBSERVE("serve.delta_interactions",
-                            target - snapshot.prefix);
-  result.replayed_interactions = target - snapshot.prefix;
-  result.buffer = tracker->Provenance(v);
+  TINPROV_HISTOGRAM_OBSERVE("serve.delta_interactions", replayed);
+  result.replayed_interactions = replayed;
+  result.buffer = (*tracker)->Provenance(v);
   return result;
 }
 

@@ -45,6 +45,14 @@
 // size. All snapshots together therefore stay within the log's bytes
 // plus one image, however large the state.
 //
+// The service keeps one history: its retained log and snapshots. A
+// durable restart seeds it from recovery — the trusted log at its
+// global positions, every valid snap-*.snap (the images the crashed
+// service held, since the same rule cut them) and the recovered state
+// — so epoch prefixes are global log positions, historical queries
+// reach behind the restart, and the restart replays only the log tail
+// past the newest snapshot.
+//
 // Consistency guarantees:
 //   - Provenance(v) / TopOrigins(v, k) answer from the newest published
 //     epoch: a consistent prefix of the stream, bit-identical to a
@@ -55,16 +63,12 @@
 //   - Provenance(v, t) is exact for any t at or below the pinned
 //     epoch's watermark: resolved from a ring epoch when one matches,
 //     otherwise nearest retained snapshot + delta replay of the pinned
-//     log (the TimeTravelIndex recipe, online). For t beyond the
+//     log (RestoreAndReplay, lazy/time_travel.h). For t beyond the
 //     watermark the answer is the epoch state — complete through the
 //     watermark, with EpochInfo reporting the gap. With retain_history
 //     off there is no log to find t's exact prefix in (timestamps may
-//     tie), so only t at or past the newest watermark — or below the
-//     handoff watermark — answers; a ring epoch never does.
-//   - A service seeded from a finalized TimeTravelIndex answers
-//     t < the handoff watermark from the index and later times from its
-//     own log; the live tracker starts from the index's final state, so
-//     the two regimes meet bit-exactly at the boundary.
+//     tie), so only t at or past the newest watermark answers; a ring
+//     epoch never does.
 #ifndef TINPROV_SERVE_SERVICE_H_
 #define TINPROV_SERVE_SERVICE_H_
 
@@ -82,7 +86,6 @@
 #include "core/buffer.h"
 #include "core/tin.h"
 #include "core/types.h"
-#include "lazy/time_travel.h"
 #include "parallel/sharded_replay.h"
 #include "serve/request_queue.h"
 #include "storage/durable_log.h"
@@ -103,10 +106,10 @@ class Recorder;
 /// non-empty dir the service recovers whatever the directory holds on
 /// construction (newest valid snapshot + checksummed log replay,
 /// truncating at the first torn or corrupt record), seeds its live
-/// tracker and a TimeTravelIndex from the recovered state, then keeps
-/// the directory current: every applied micro-batch lands in the
-/// segment log, and each snapshot the service's log-volume rule cuts
-/// (see the file comment) becomes a snap-*.snap file. A restart
+/// tracker and its retained history from the recovered state (see the
+/// file comment), then keeps the directory current: every applied
+/// micro-batch lands in the segment log, and each snapshot the
+/// service's log-volume rule cuts becomes a snap-*.snap file. A restart
 /// therefore resumes bit-identically to a clean replay of the recovered
 /// prefix: nearest snapshot, then the log after it.
 struct DurabilityOptions {
@@ -118,13 +121,10 @@ struct DurabilityOptions {
   storage::Env* env = nullptr;
   /// Segment rotation / per-batch fsync / fail-stop-vs-degrade policy.
   storage::DurableLogOptions log;
-  /// Recover existing state on construction. Off opens the directory
-  /// for appending only (a deliberate restart-from-scratch keeps old
-  /// segments dead weight — prefer a fresh dir).
+  /// Recover existing state on construction. Off starts the log over
+  /// at position 0: opening it drops every later segment and snapshot
+  /// (prefer a fresh dir).
   bool recover = true;
-  /// Snapshot interval of the TimeTravelIndex built over the recovered
-  /// log (pre-crash historical queries).
-  size_t history_snapshot_interval = 4096;
   /// storage.disk_headroom health check trips below this many free
   /// bytes on dir's filesystem.
   uint64_t min_free_disk_bytes = 64ull << 20;
@@ -147,12 +147,13 @@ struct ServeOptions {
   size_t ingest_batch = 1024;
   /// Retain the ingested log (chunked) and the snapshot images the
   /// log-volume rule cuts, so Provenance(v, t) can delta-replay to
-  /// arbitrary past times. With retention off, standing memory stops
-  /// growing with the stream, and Provenance(v, t) answers only t at or
-  /// past the newest watermark (the latest epoch) or below the handoff
-  /// watermark (the index): without the log a ring epoch cannot be
-  /// matched to t exactly at timestamp ties, so every other t returns
-  /// FailedPrecondition.
+  /// arbitrary past times — behind a durable restart too, which seeds
+  /// both from recovery. With retention off, standing memory stops
+  /// growing with the stream (a restart keeps neither the recovered log
+  /// nor its snapshots), and Provenance(v, t) answers only t at or past
+  /// the newest watermark (the latest epoch): without the log a ring
+  /// epoch cannot be matched to t exactly at timestamp ties, so every
+  /// earlier t returns FailedPrecondition.
   bool retain_history = true;
   /// Worker threads for the Submit() queue. 0 = inline execution; the
   /// direct query methods never use the pool either way.
@@ -195,20 +196,11 @@ struct ServeOptions {
 class ProvenanceService {
  public:
   /// A service for `spec` over a dataset of shape `stats`, starting
-  /// from empty state. The spec must be TrackerMode::kStreaming — the
-  /// service only ever sees a stream.
+  /// from empty state — or, with durability on, from whatever the
+  /// directory recovers to. The spec must be TrackerMode::kStreaming —
+  /// the service only ever sees a stream.
   static StatusOr<std::unique_ptr<ProvenanceService>> Create(
       const TrackerSpec& spec, const DatasetStats& stats,
-      ServeOptions options = {});
-
-  /// As Create(), but seeded from a finalized TimeTravelIndex: the live
-  /// tracker restores the index's final state (SaveFinalState) and
-  /// Provenance(v, t) routes times below the handoff watermark through
-  /// the index. The factory `spec` must build trackers configured
-  /// identically to the index's own, or the restore fails.
-  static StatusOr<std::unique_ptr<ProvenanceService>> CreateWithHistory(
-      const TrackerSpec& spec, const DatasetStats& stats,
-      std::shared_ptr<const TimeTravelIndex> history,
       ServeOptions options = {});
 
   /// Stops ingest (joins the writer) and the worker pool.
@@ -235,8 +227,8 @@ class ProvenanceService {
   /// sequential). Must run before Start(), at most once (a failed
   /// catchup may leave a partial prefix applied, so the service then
   /// refuses both a second Catchup() and Start() and must be
-  /// discarded), from empty state (no handoff index) and with
-  /// durability off (the catchup batches would bypass the durable log).
+  /// discarded), and with durability off (the catchup batches would
+  /// bypass the durable log).
   /// With history retention on, the catchup interactions land in the
   /// retained log, so Provenance(v, t) works across the catchup range
   /// exactly as if the writer had ingested it.
@@ -270,8 +262,8 @@ class ProvenanceService {
   QueryResult Provenance(VertexId v) const;
 
   /// Provenance of `v` at historical time `t` — see the consistency
-  /// notes above for how t relates to the handoff index, the retained
-  /// log, and the epoch watermark.
+  /// notes above for how t relates to the retained log and the epoch
+  /// watermark.
   QueryResult Provenance(VertexId v, Timestamp t) const;
 
   /// The k origins contributing the most quantity to v's buffer at the
@@ -327,19 +319,22 @@ class ProvenanceService {
   struct EpochView;   // service.cc: the immutable published state
 
   ProvenanceService(ShardedSpec spec, const DatasetStats& stats,
-                    const ServeOptions& options,
-                    std::shared_ptr<const TimeTravelIndex> history);
+                    const ServeOptions& options);
 
-  /// Builds and publishes epoch 0 (initial or handoff state).
-  Status Init(const std::vector<uint8_t>* handoff_state);
+  /// Builds and publishes epoch 0 from the recovered state (empty when
+  /// durability is off or the directory is new) and seeds the retained
+  /// history with it.
+  Status Init(storage::RecoveredState recovered);
 
   /// Writer body: drains stream_, publishing epochs along the way.
   Status RunIngest();
 
   /// Writer (via LogSink): marks the pulled interaction's endpoints as
-  /// changed and appends it to the chunked log (when history retention
-  /// is on).
+  /// changed and retains it (when history retention is on).
   void AppendLog(const Interaction& interaction);
+
+  /// Writer: appends to the chunked log.
+  void Retain(const Interaction& interaction);
 
   /// Writer: publishes the current live-tracker state as a new epoch,
   /// re-reading only the changed vertices, and cuts a snapshot when
@@ -369,11 +364,9 @@ class ProvenanceService {
   ShardedSpec spec_;
   DatasetStats stats_;
   ServeOptions options_;
-  std::shared_ptr<const TimeTravelIndex> history_;
-  Timestamp history_watermark_;  // meaningful iff history_ != nullptr
-  /// Watermark the live ingest must resume at or above: the handoff
+  /// Watermark the live ingest must resume at or above: the recovered
   /// watermark, raised by Catchup() to the catchup watermark.
-  Timestamp resume_watermark_;
+  Timestamp resume_watermark_ = std::numeric_limits<Timestamp>::lowest();
 
   // Writer-owned after Start() (and during Init).
   std::unique_ptr<Tracker> live_tracker_;
@@ -382,15 +375,12 @@ class ProvenanceService {
   /// by the writer thread; other threads observe it through the
   /// storage.* gauges only.
   std::unique_ptr<storage::DurableLog> durable_;
-  /// Recovered global prefix — the durable log position local epoch
-  /// prefixes are offset by (snapshot files carry global positions).
-  uint64_t durable_base_ = 0;
   class LogSink;  // service.cc: tee stream appending into the chunked log
   std::vector<std::shared_ptr<std::vector<Interaction>>> chunks_;
   size_t log_size_ = 0;
-  /// Interactions applied before the writer's own ingest begins —
-  /// Catchup()'s count. Epoch prefixes offset by it so they keep
-  /// indexing the full retained log.
+  /// Interactions applied before the writer's own ingest begins — the
+  /// recovered prefix plus Catchup()'s count. Epoch prefixes offset by
+  /// it, so they are global log positions indexing the retained log.
   size_t prefix_base_ = 0;
   size_t snapshot_bytes_ = 0;  // running total of retained byte images
   /// Vertices changed since the last publish (each once: changed_mark_
@@ -399,8 +389,8 @@ class ProvenanceService {
   std::vector<uint8_t> changed_mark_;
   /// live_tracker_->WideChanges() as of the last publish.
   uint64_t published_wide_changes_ = 0;
-  /// Prefix and SaveState byte size of the last snapshot (the prefix-0
-  /// initial/handoff state until the rule cuts one).
+  /// Prefix and SaveState byte size of the last snapshot (the initial
+  /// or recovered state until the rule cuts one).
   size_t snapshot_prefix_ = 0;
   size_t snapshot_image_bytes_ = 0;
   uint64_t next_seq_ = 0;

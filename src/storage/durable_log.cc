@@ -22,9 +22,27 @@ StatusOr<std::unique_ptr<DurableLog>> DurableLog::Open(
   if (options.rotate_bytes == 0) options.rotate_bytes = 1;
   Status status = env->CreateDir(dir);
   if (!status.ok()) return status;
+  // Before the first append, drop what lies past start_prefix: the
+  // segments a crashed writer left beyond the trusted log's break (the
+  // resumed segment could never line up behind them) and the snapshots
+  // cut from that lost history.
+  auto names = env->ListDir(dir);
+  if (!names.ok()) return names.status();
+  for (const std::string& name : *names) {
+    uint64_t seq = 0;
+    uint64_t base = 0;
+    if (!ParseSegmentFileName(name, &seq)) continue;
+    const std::string path = JoinPath(dir, name);
+    auto intact = ReadSegmentBase(env, path, &base);
+    if (!intact.ok()) return intact.status();
+    if (*intact && base > start_prefix) {
+      status = env->DeleteFile(path);
+      if (!status.ok()) return status;
+    }
+  }
   std::unique_ptr<DurableLog> log(
       new DurableLog(env, dir, start_prefix, start_seq, options));
-  status = log->snapshots_.SweepTempFiles();
+  status = log->snapshots_.Sweep(start_prefix);
   if (!status.ok()) return status;
   TINPROV_GAUGE_SET("storage.degraded", 0);
   TINPROV_GAUGE_SET("storage.durable_prefix", start_prefix);

@@ -56,7 +56,9 @@ class DurableLog {
   /// Opens the log rooted at `dir` (created if missing), resuming the
   /// global interaction count at `start_prefix` and numbering new
   /// segments from `start_seq` — both come from RecoveryManager (0/0
-  /// for a fresh directory). Sweeps stale snapshot temp files.
+  /// for a fresh directory). Deletes every segment and snapshot past
+  /// start_prefix first (the appends that follow rewrite that part of
+  /// the history), and stale snapshot temp files.
   static StatusOr<std::unique_ptr<DurableLog>> Open(
       Env* env, const std::string& dir, uint64_t start_prefix,
       uint64_t start_seq, DurableLogOptions options = {});

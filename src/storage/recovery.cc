@@ -87,43 +87,33 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
   out.segments_dropped = log.segments_dropped;
   out.next_seq = log.next_seq;
 
-  LoadedSnapshot snapshot;
   if (env_->FileExists(dir_)) {
     SnapshotStore store(env_, dir_);
-    auto loaded = store.LoadNewestValid(out.prefix);
+    auto loaded = store.LoadValid(out.prefix, &out.snapshots_skipped);
     if (!loaded.ok()) return loaded.status();
-    snapshot = *std::move(loaded);
+    for (LoadedSnapshot& snapshot : *loaded) {
+      out.snapshots.push_back(
+          {static_cast<size_t>(snapshot.prefix),
+           std::make_shared<const std::vector<uint8_t>>(
+               std::move(snapshot.state))});
+    }
   }
-  out.snapshot_prefix = snapshot.prefix;
-  out.snapshots_skipped = snapshot.corrupt_skipped;
 
-  std::unique_ptr<Tracker> tracker = factory();
-  if (tracker == nullptr) {
-    return Status::Internal("tracker factory returned null");
+  size_t replayed = 0;
+  auto tracker = RestoreAndReplay(
+      factory, out.snapshots, static_cast<size_t>(out.prefix),
+      [&out](size_t i) -> const Interaction& { return out.log[i]; },
+      &replayed);
+  if (!tracker.ok()) {
+    return Status(tracker.status().code(),
+                  "recovery (is the recovery spec configured like the "
+                  "writer's?): " +
+                      tracker.status().message());
   }
-  if (snapshot.prefix > 0) {
-    status = tracker->RestoreState(snapshot.state);
-    if (!status.ok()) {
-      return Status(status.code(),
-                    "restoring the checksummed snapshot at prefix " +
-                        std::to_string(snapshot.prefix) +
-                        " (is the recovery spec configured like the "
-                        "writer's?): " +
-                        status.message());
-    }
-    out.watermark = snapshot.watermark;
-  }
-  for (uint64_t i = snapshot.prefix; i < out.prefix; ++i) {
-    status = tracker->Process(out.log[static_cast<size_t>(i)]);
-    if (!status.ok()) {
-      return Status(status.code(), "recovery replay at interaction " +
-                                       std::to_string(i) + ": " +
-                                       status.message());
-    }
-  }
-  out.replayed = out.prefix - snapshot.prefix;
+  out.replayed = replayed;
+  out.snapshot_prefix = out.prefix - replayed;
   if (!out.log.empty()) out.watermark = out.log.back().t;
-  tracker->SaveState(&out.state);
+  (*tracker)->SaveState(&out.state);
 
   TINPROV_COUNTER_ADD("storage.recoveries", 1);
   TINPROV_GAUGE_SET("storage.recovered_interactions", out.prefix);

@@ -10,18 +10,23 @@
 //      log only if its base_prefix equals the trusted length exactly —
 //      which is precisely what a post-recovery writer produces, so a
 //      torn segment followed by a resumed one reads as one continuous
-//      log, while bytes the crashed process never durably wrote are
-//      truncated, never interpreted.
-//   2. The newest snapshot whose prefix fits inside the trusted log is
-//      restored (corrupt snapshots are skipped — they cost replay time,
+//      log (DurableLog::Open deletes the stale segments past a break
+//      before the resumed writer's first append), while bytes the
+//      crashed process never durably wrote are truncated, never
+//      interpreted.
+//   2. Every snapshot whose prefix fits inside the trusted log is
+//      loaded (corrupt snapshots are skipped — they cost replay time,
 //      not correctness; a snapshot claiming a prefix the log cannot
 //      back is ignored the same way).
-//   3. The log tail past the snapshot is replayed through the tracker.
+//   3. The newest of them is restored and the log tail past it replayed
+//      (RestoreAndReplay, lazy/time_travel.h).
 // The result equals Tracker::Process over trusted[0, prefix) on a fresh
 // tracker — the SaveState/RestoreState bit-exact-resume contract makes
 // the snapshot shortcut invisible. The crash test (test_storage /
 // scripts/crash_smoke.sh) holds this equality under every
-// FaultInjectingEnv mode and under kill -9.
+// FaultInjectingEnv mode and under kill -9. The trusted log and the
+// loaded snapshots are exactly the history a restarted
+// ProvenanceService retains for historical queries.
 #ifndef TINPROV_STORAGE_RECOVERY_H_
 #define TINPROV_STORAGE_RECOVERY_H_
 
@@ -64,9 +69,11 @@ struct RecoveredState {
   /// Timestamp of the last trusted interaction; the recovered state is
   /// complete up to and including it.
   Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
-  /// Tracker SaveState bytes at `prefix` — hand to RestoreState (or
-  /// serve's handoff) to resume bit-exactly.
+  /// Tracker SaveState bytes at `prefix` — hand to RestoreState to
+  /// resume bit-exactly.
   std::vector<uint8_t> state;
+  /// Every valid on-disk snapshot at or below `prefix`, ascending.
+  std::vector<StateSnapshot> snapshots;
   uint64_t snapshot_prefix = 0;  // where replay started
   uint64_t replayed = 0;         // delta length, prefix - snapshot_prefix
   size_t snapshots_skipped = 0;  // corrupt snapshots passed over
@@ -82,7 +89,8 @@ class RecoveryManager {
   RecoveryManager(Env* env, std::string dir);
 
   /// Full recovery for a tracker built by `factory`: trusted log scan,
-  /// newest usable snapshot restore, delta replay, final SaveState.
+  /// snapshot load, newest-snapshot restore and delta replay, final
+  /// SaveState.
   /// Snapshot-restore or replay failures are real errors (config
   /// mismatch between the factory and the writer) and propagate.
   StatusOr<RecoveredState> Recover(const TrackerFactory& factory) const;

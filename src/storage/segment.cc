@@ -229,4 +229,20 @@ Status ReadSegment(Env* env, const std::string& path,
   return Status::Ok();
 }
 
+StatusOr<bool> ReadSegmentBase(Env* env, const std::string& path,
+                               uint64_t* base_prefix) {
+  auto file = env->NewRandomAccessFile(path);
+  if (!file.ok()) return file.status();
+  uint8_t header[kSegmentHeaderBytes];
+  size_t read = 0;
+  const Status status = (*file)->Read(0, sizeof(header), header, &read);
+  if (!status.ok()) return status;
+  ByteReader reader(header, read);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  return reader.Read(&magic).ok() && reader.Read(&version).ok() &&
+         reader.Read(base_prefix).ok() && magic == kSegmentMagic &&
+         version == kFormatVersion;
+}
+
 }  // namespace tinprov::storage

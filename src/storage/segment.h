@@ -87,6 +87,11 @@ struct SegmentReadResult {
 Status ReadSegment(Env* env, const std::string& path,
                    SegmentReadResult* result);
 
+/// Reads only `path`'s header into *base_prefix. False (not an error)
+/// when no intact header landed — a crash during segment creation.
+StatusOr<bool> ReadSegmentBase(Env* env, const std::string& path,
+                               uint64_t* base_prefix);
+
 }  // namespace tinprov::storage
 
 #endif  // TINPROV_STORAGE_SEGMENT_H_

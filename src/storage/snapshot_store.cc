@@ -123,34 +123,36 @@ Status SnapshotStore::Load(const SnapshotMeta& meta,
   return reader.ReadSpan(out->state.data(), out->state.size());
 }
 
-StatusOr<LoadedSnapshot> SnapshotStore::LoadNewestValid(
-    uint64_t max_prefix) const {
+StatusOr<std::vector<LoadedSnapshot>> SnapshotStore::LoadValid(
+    uint64_t max_prefix, size_t* corrupt_skipped) const {
   auto metas = List();
   if (!metas.ok()) return metas.status();
-  LoadedSnapshot out;
-  for (auto it = metas->rbegin(); it != metas->rend(); ++it) {
-    if (it->prefix > max_prefix) continue;
+  std::vector<LoadedSnapshot> out;
+  *corrupt_skipped = 0;
+  for (const SnapshotMeta& meta : *metas) {
+    if (meta.prefix > max_prefix) break;
     LoadedSnapshot candidate;
-    const Status status = Load(*it, &candidate);
+    const Status status = Load(meta, &candidate);
     if (status.ok()) {
-      candidate.corrupt_skipped = out.corrupt_skipped;
-      return candidate;
+      out.push_back(std::move(candidate));
+      continue;
     }
     // Unavailable is an env/IO failure worth surfacing; InvalidArgument
     // is a corrupt file worth skipping.
     if (status.code() == StatusCode::kUnavailable) return status;
-    ++out.corrupt_skipped;
+    ++*corrupt_skipped;
     TINPROV_COUNTER_ADD("storage.snapshot_corrupt", 1);
   }
-  // Nothing valid: the empty prefix-0 snapshot (restore from scratch).
   return out;
 }
 
-Status SnapshotStore::SweepTempFiles() {
+Status SnapshotStore::Sweep(uint64_t max_prefix) {
   auto names = env_->ListDir(dir_);
   if (!names.ok()) return names.status();
   for (const std::string& name : *names) {
-    if (name.rfind(kTempPrefix, 0) == 0) {
+    uint64_t prefix = 0;
+    if (name.rfind(kTempPrefix, 0) == 0 ||
+        (ParseSnapshotFileName(name, &prefix) && prefix > max_prefix)) {
       const Status status = env_->DeleteFile(JoinPath(dir_, name));
       if (!status.ok() && status.code() != StatusCode::kNotFound) {
         return status;

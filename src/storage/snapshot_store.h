@@ -1,4 +1,4 @@
-// SnapshotStore: durable tracker snapshots, cut at epoch watermarks.
+// SnapshotStore: durable tracker snapshots, cut at epoch publishes.
 //
 // A snapshot file is the padding-free Tracker::SaveState byte image
 // (util/serialize.h / core/buffer_io.h format — the same bytes the
@@ -11,9 +11,8 @@
 // Visibility is atomic: the store writes to a temp name, fsyncs, then
 // renames into place, so a crash mid-snapshot leaves at worst a stray
 // temp file (swept on open) and never a half-visible snapshot. Loading
-// walks snapshots newest-first and falls back past any that fail their
-// checksum — a corrupt snapshot costs recovery time (longer delta
-// replay), never correctness.
+// skips any snapshot that fails its checksum — a corrupt snapshot costs
+// recovery time (longer delta replay), never correctness.
 #ifndef TINPROV_STORAGE_SNAPSHOT_STORE_H_
 #define TINPROV_STORAGE_SNAPSHOT_STORE_H_
 
@@ -37,9 +36,6 @@ struct LoadedSnapshot {
   uint64_t prefix = 0;
   Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
   std::vector<uint8_t> state;
-  /// Snapshots skipped because they failed validation (bit rot, torn
-  /// rename window) before this one loaded.
-  size_t corrupt_skipped = 0;
 };
 
 class SnapshotStore {
@@ -55,17 +51,23 @@ class SnapshotStore {
   /// names are ignored; validity is only established by Load.
   StatusOr<std::vector<SnapshotMeta>> List() const;
 
-  /// Newest snapshot with prefix <= max_prefix that passes validation,
-  /// falling back to older ones past corruption. When none qualifies
-  /// the result is the empty prefix-0 snapshot — "recover from the
-  /// beginning", which is always safe.
-  StatusOr<LoadedSnapshot> LoadNewestValid(uint64_t max_prefix) const;
+  /// Every snapshot with prefix <= max_prefix that passes validation,
+  /// ascending by prefix. One that fails (bit rot, torn rename window)
+  /// is skipped and counted in *corrupt_skipped: it costs recovery a
+  /// longer replay, never correctness. None qualifying means "recover
+  /// from the beginning", which is always safe.
+  StatusOr<std::vector<LoadedSnapshot>> LoadValid(
+      uint64_t max_prefix, size_t* corrupt_skipped) const;
 
   /// Loads and validates one specific snapshot.
   Status Load(const SnapshotMeta& meta, LoadedSnapshot* out) const;
 
-  /// Deletes crash-window temp files. Called by DurableLog::Open.
-  Status SweepTempFiles();
+  /// Deletes crash-window temp files and every snapshot past
+  /// `max_prefix`: a log resuming at max_prefix rewrites the history
+  /// those were cut from, so once it grows past them again they would
+  /// restore a state the new history never produced. Called by
+  /// DurableLog::Open.
+  Status Sweep(uint64_t max_prefix);
 
   const std::string& dir() const { return dir_; }
 

@@ -54,9 +54,9 @@ struct IngestOptions {
   bool reserve_from_stats = true;
   /// Starting watermark for the order check: interactions below this
   /// timestamp are rejected from the first pull. The serve layer sets it
-  /// when a tracker is seeded from a historical snapshot (state complete
-  /// up to the handoff watermark), so a stream rewound past the handoff
-  /// cannot double-apply history.
+  /// when a tracker resumes from recovered or caught-up state (complete
+  /// up to that state's watermark), so a stream rewound past it cannot
+  /// double-apply history.
   Timestamp initial_watermark = std::numeric_limits<Timestamp>::lowest();
   /// Called with each batch once the tracker has applied it (borrowed;
   /// null = no sink). See BatchSink.

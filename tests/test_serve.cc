@@ -4,7 +4,7 @@
 // replaying exactly that prefix through an identically configured
 // tracker must reproduce the answer bit-exactly — while the writer was
 // publishing, under concurrent readers, across epoch-ring wraparound,
-// and across the handoff boundary of a seeding TimeTravelIndex.
+// and across a durable restart, which seeds the service's history.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -28,12 +28,12 @@
 #include "analytics/registry.h"
 #include "datagen/generator.h"
 #include "lazy/replay.h"
-#include "lazy/time_travel.h"
 #include "obs/health.h"
 #include "obs/slowlog.h"
 #include "parallel/scheduler.h"
 #include "serve/request_queue.h"
 #include "serve/service.h"
+#include "storage/env.h"
 #include "stream/ingest.h"
 #include "stream/interaction_stream.h"
 
@@ -121,6 +121,31 @@ std::string SanitizeName(const ::testing::TestParamInfo<std::string>& info) {
              name.end());
   return name;
 }
+
+// A durability directory under the working directory, removed with
+// everything in it on destruction.
+class DurableDir {
+ public:
+  explicit DurableDir(const std::string& tag)
+      : path_("tinprov_serve_" + tag + "_" +
+              std::to_string(static_cast<unsigned>(::getpid()))) {}
+
+  ~DurableDir() {
+    auto names = storage::Env::Posix()->ListDir(path_);
+    if (names.ok()) {
+      for (const std::string& name : *names) {
+        (void)storage::Env::Posix()->DeleteFile(
+            storage::JoinPath(path_, name));
+      }
+    }
+    ::rmdir(path_.c_str());
+  }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 // Pulls the unsigned integer following `"key":` out of hand-built JSON.
 uint64_t JsonField(const std::string& json, const std::string& key) {
@@ -454,66 +479,143 @@ TEST(ServeHistoryTest, RetentionOffBoundsHistoricalReach) {
 }
 
 // ---------------------------------------------------------------------
-// (d) Handoff from a finalized TimeTravelIndex: queries before, at, and
-// after the handoff watermark all equal full-replay references, and the
-// two regimes meet bit-exactly at the boundary.
+// (d) Durable restart: the restarted service's history is seeded from
+// recovery, so queries before, at and after the restart watermark —
+// including a timestamp tied across it — equal full-replay references,
+// and a historical query replays exactly as much after the restart as
+// before it (the seeded history holds the on-disk snapshots).
 
-TEST(ServeHistoryTest, HandoffBoundaryMatchesFullReplay) {
-  const Tin tin = GeneratedTin();
-  const TrackerSpec spec = StreamingSpec("Prop-sparse");
-  auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
-  ASSERT_TRUE(factory.ok());
-
-  const size_t split = tin.num_interactions() / 2;
-  const auto& log = tin.interactions();
-  auto index =
-      TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, 97);
-  ASSERT_TRUE(index.ok());
-  for (size_t i = 0; i < split; ++i) {
-    ASSERT_TRUE((*index)->Observe(log[i]).ok());
+// Runs of three tied timestamps: log[1500] and log[1501] share t = 500,
+// so a restart after 1501 interactions lands inside a tie.
+std::vector<Interaction> TiedLog(const Tin& tin) {
+  std::vector<Interaction> log = tin.interactions();
+  for (size_t i = 0; i < log.size(); ++i) {
+    log[i].t = static_cast<Timestamp>(i / 3);
   }
-  ASSERT_TRUE((*index)->Finalize().ok());
-  std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
-  const Timestamp handoff = history->watermark();
+  return log;
+}
 
-  ServeOptions options;
-  options.epoch_interval = 300;
-  auto service = ProvenanceService::CreateWithHistory(spec, tin.Stats(),
-                                                      history, options);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  // Epoch 0 is the handoff state itself.
-  EXPECT_EQ((*service)->LatestEpoch().watermark, handoff);
+TEST(ServeHistoryTest, RestartBoundaryMatchesFullReplay) {
+  const Tin generated = GeneratedTin();
+  const Tin tin(generated.num_vertices(), TiedLog(generated));
+  const auto& log = tin.interactions();
+  const size_t split = 1501;
+  ASSERT_EQ(log[split - 1].t, log[split].t);
+  const Timestamp restart_t = log[split - 1].t;
+  // Before the restart watermark (none lands on an epoch prefix, so
+  // none is a ring hit on either side of the restart) ...
+  const std::vector<Timestamp> before = {log[10].t, log[split / 2].t,
+                                         restart_t - 2};
+  // ... then at it (the tie) and after it.
+  std::vector<Timestamp> probes = before;
+  probes.insert(probes.end(),
+                {restart_t, log[split + 300].t, log.back().t});
+  const std::vector<VertexId> vertices = {3, 21, 42};
 
-  std::vector<Interaction> tail(log.begin() + split, log.end());
-  ASSERT_TRUE(
-      (*service)
-          ->Start(std::make_unique<VectorStream>(tin.num_vertices(),
-                                                 std::move(tail)))
-          .ok());
-  ASSERT_TRUE((*service)->WaitIngest().ok());
+  for (const std::string name : {"FIFO", "Prop-sparse", "Windowed"}) {
+    const TrackerSpec spec = StreamingSpec(name);
+    DurableDir dir("restart_boundary");
+    ServeOptions options;
+    options.epoch_interval = 100;
+    options.ingest_batch = 50;
+    options.durability.dir = dir.path();
 
-  const std::vector<Timestamp> probes = {
-      log.front().t,       log[split / 2].t, handoff - 1e-9,
-      handoff,             log[split + 10].t, log.back().t};
-  for (const Timestamp t : probes) {
-    const size_t prefix = PrefixLength(tin, t);
-    const auto reference = ReferencePrefix(spec, tin, prefix);
-    for (const VertexId v : {VertexId{3}, VertexId{21}, VertexId{42}}) {
-      QueryResult result = (*service)->Provenance(v, t);
-      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-      ExpectSameBuffer(reference->Provenance(v), result.buffer,
-                       "t=" + std::to_string(t) + " v=" + std::to_string(v));
+    std::vector<size_t> replayed;
+    {
+      auto service = ProvenanceService::Create(spec, tin.Stats(), options);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      ASSERT_TRUE((*service)
+                      ->Start(std::make_unique<VectorStream>(
+                          tin.num_vertices(),
+                          std::vector<Interaction>(log.begin(),
+                                                   log.begin() + split)))
+                      .ok());
+      ASSERT_TRUE((*service)->WaitIngest().ok());
+      for (const Timestamp t : before) {
+        for (const VertexId v : vertices) {
+          const QueryResult result = (*service)->Provenance(v, t);
+          ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+          replayed.push_back(result.replayed_interactions);
+        }
+      }
+    }
+
+    auto service = ProvenanceService::Create(spec, tin.Stats(), options);
+    ASSERT_TRUE(service.ok()) << name << ": " << service.status().ToString();
+    // Epoch prefixes count from log position 0, not from the restart.
+    EXPECT_EQ((*service)->LatestEpoch().prefix, split) << name;
+    EXPECT_EQ((*service)->LatestEpoch().watermark, restart_t) << name;
+    size_t i = 0;
+    for (const Timestamp t : before) {
+      const auto reference = ReferencePrefix(spec, tin, PrefixLength(tin, t));
+      for (const VertexId v : vertices) {
+        const QueryResult result = (*service)->Provenance(v, t);
+        ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+        ExpectSameBuffer(reference->Provenance(v), result.buffer,
+                         name + " restarted t=" + std::to_string(t) +
+                             " v=" + std::to_string(v));
+        EXPECT_EQ(result.replayed_interactions, replayed[i++])
+            << name << " t=" << t << " v=" << v;
+      }
+    }
+
+    ASSERT_TRUE((*service)
+                    ->Start(std::make_unique<VectorStream>(
+                        tin.num_vertices(),
+                        std::vector<Interaction>(log.begin() + split,
+                                                 log.end())))
+                    .ok());
+    ASSERT_TRUE((*service)->WaitIngest().ok());
+    EXPECT_EQ((*service)->LatestEpoch().prefix, log.size()) << name;
+    for (const Timestamp t : probes) {
+      const auto reference = ReferencePrefix(spec, tin, PrefixLength(tin, t));
+      for (const VertexId v : vertices) {
+        const QueryResult result = (*service)->Provenance(v, t);
+        ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+        ExpectSameBuffer(reference->Provenance(v), result.buffer,
+                         name + " resumed t=" + std::to_string(t) +
+                             " v=" + std::to_string(v));
+      }
     }
   }
+}
 
-  // The live side's final state equals full replay of the whole log.
-  const auto full = ReferencePrefix(spec, tin, tin.num_interactions());
-  for (VertexId v = 0; v < tin.num_vertices(); v += 13) {
-    QueryResult result = (*service)->Provenance(v);
-    ASSERT_TRUE(result.status.ok());
-    ExpectSameBuffer(full->Provenance(v), result.buffer,
-                     "final vertex " + std::to_string(v));
+// With retention off a restart keeps no history either: the recovered
+// state answers t at or past its watermark, and every earlier t fails.
+TEST(ServeHistoryTest, RetentionOffRestartAnswersOnlyFromTheWatermark) {
+  const Tin tin = GeneratedTin();
+  const auto& log = tin.interactions();
+  const TrackerSpec spec = StreamingSpec("Prop-sparse");
+  const size_t split = tin.num_interactions() / 2;
+  DurableDir dir("restart_retention_off");
+  ServeOptions options;
+  options.epoch_interval = 100;
+  options.retain_history = false;
+  options.durability.dir = dir.path();
+  {
+    auto service = ProvenanceService::Create(spec, tin.Stats(), options);
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE((*service)
+                    ->Start(std::make_unique<VectorStream>(
+                        tin.num_vertices(),
+                        std::vector<Interaction>(log.begin(),
+                                                 log.begin() + split)))
+                    .ok());
+    ASSERT_TRUE((*service)->WaitIngest().ok());
   }
+
+  auto service = ProvenanceService::Create(spec, tin.Stats(), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const auto reference = ReferencePrefix(spec, tin, split);
+  for (const Timestamp t : {log[split - 1].t, log.back().t + 1.0}) {
+    const QueryResult result = (*service)->Provenance(17, t);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    ExpectSameBuffer(reference->Provenance(17), result.buffer,
+                     "t=" + std::to_string(t));
+  }
+  ASSERT_LT(log[split / 2].t, log[split - 1].t);
+  EXPECT_EQ((*service)->Provenance(17, log[split / 2].t).status.code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------
@@ -654,23 +756,6 @@ TEST(ServeCatchupTest, LifecyclePreconditions) {
     EXPECT_EQ((*service)->Catchup(make_stream()).code(),
               StatusCode::kFailedPrecondition);
     ASSERT_TRUE((*service)->WaitIngest().ok());
-  }
-  {
-    // A handoff index already carries history: catchup must start from
-    // empty state.
-    auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
-    ASSERT_TRUE(factory.ok());
-    auto index =
-        TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, 100);
-    ASSERT_TRUE(index.ok());
-    ASSERT_TRUE((*index)->Observe(log[0]).ok());
-    ASSERT_TRUE((*index)->Finalize().ok());
-    std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
-    auto service =
-        ProvenanceService::CreateWithHistory(spec, tin.Stats(), history);
-    ASSERT_TRUE(service.ok());
-    EXPECT_EQ((*service)->Catchup(make_stream()).code(),
-              StatusCode::kFailedPrecondition);
   }
 }
 
@@ -872,21 +957,6 @@ TEST(ServeApiTest, RejectsMaterializedModeSpecs) {
   auto service = ProvenanceService::Create(spec, tin.Stats());
   ASSERT_FALSE(service.ok());
   EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ServeApiTest, RejectsUnfinalizedHistory) {
-  const Tin tin = GeneratedTin();
-  const TrackerSpec spec = StreamingSpec("FIFO");
-  auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
-  ASSERT_TRUE(factory.ok());
-  auto index =
-      TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, 100);
-  ASSERT_TRUE(index.ok());  // never finalized
-  std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
-  auto service =
-      ProvenanceService::CreateWithHistory(spec, tin.Stats(), history);
-  ASSERT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ServeApiTest, TopOriginsSortsAndTruncates) {

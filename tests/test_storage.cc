@@ -424,23 +424,26 @@ TEST(SnapshotStore, RoundtripAndNewestSelection) {
   EXPECT_EQ((*list)[0].prefix, 100u);
   EXPECT_EQ((*list)[1].prefix, 200u);
 
-  auto newest = store.LoadNewestValid(500);
-  ASSERT_TRUE(newest.ok());
-  EXPECT_EQ(newest->prefix, 200u);
-  EXPECT_EQ(newest->watermark, 20.0);
-  EXPECT_EQ(newest->state, state_b);
-  EXPECT_EQ(newest->corrupt_skipped, 0u);
+  size_t skipped = 0;
+  auto all = store.LoadValid(500, &skipped);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 2u);
+  EXPECT_EQ(all->front().state, state_a);
+  EXPECT_EQ(all->back().prefix, 200u);
+  EXPECT_EQ(all->back().watermark, 20.0);
+  EXPECT_EQ(all->back().state, state_b);
+  EXPECT_EQ(skipped, 0u);
 
-  // A prefix cap below 200 falls back to the older snapshot; below 100
-  // to the empty prefix-0 state.
-  auto capped = store.LoadNewestValid(150);
+  // A prefix cap below 200 leaves the older snapshot newest; below 100
+  // none (recover from the beginning).
+  auto capped = store.LoadValid(150, &skipped);
   ASSERT_TRUE(capped.ok());
-  EXPECT_EQ(capped->prefix, 100u);
-  EXPECT_EQ(capped->state, state_a);
-  auto none = store.LoadNewestValid(99);
+  ASSERT_EQ(capped->size(), 1u);
+  EXPECT_EQ(capped->back().prefix, 100u);
+  EXPECT_EQ(capped->back().state, state_a);
+  auto none = store.LoadValid(99, &skipped);
   ASSERT_TRUE(none.ok());
-  EXPECT_EQ(none->prefix, 0u);
-  EXPECT_TRUE(none->state.empty());
+  EXPECT_TRUE(none->empty());
 }
 
 TEST(SnapshotStore, FallsBackPastCorruption) {
@@ -456,10 +459,12 @@ TEST(SnapshotStore, FallsBackPastCorruption) {
   bytes[bytes.size() / 2] ^= 0x10;
   DumpFile(newest_path, bytes);
 
-  auto loaded = store.LoadNewestValid(500);
+  size_t skipped = 0;
+  auto loaded = store.LoadValid(500, &skipped);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->prefix, 100u);
-  EXPECT_EQ(loaded->corrupt_skipped, 1u);
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ(loaded->back().prefix, 100u);
+  EXPECT_EQ(skipped, 1u);
 
   // Every snapshot corrupt: the empty prefix-0 result, never an error.
   const std::string older_path =
@@ -467,10 +472,10 @@ TEST(SnapshotStore, FallsBackPastCorruption) {
   bytes = SlurpFile(older_path);
   bytes[0] ^= 0xff;
   DumpFile(older_path, bytes);
-  loaded = store.LoadNewestValid(500);
+  loaded = store.LoadValid(500, &skipped);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->prefix, 0u);
-  EXPECT_EQ(loaded->corrupt_skipped, 2u);
+  EXPECT_TRUE(loaded->empty());
+  EXPECT_EQ(skipped, 2u);
 }
 
 TEST(SnapshotStore, TruncationAndFlipNeverLoad) {
@@ -497,12 +502,13 @@ TEST(SnapshotStore, TruncationAndFlipNeverLoad) {
   }
 }
 
-TEST(SnapshotStore, SweepRemovesTempFilesOnly) {
+TEST(SnapshotStore, SweepRemovesTempFilesAndLaterSnapshotsOnly) {
   ScratchDir dir("snap_sweep");
   st::SnapshotStore store(st::Env::Posix(), dir.path());
   ASSERT_TRUE(store.Write(7, 1.0, {1}).ok());
+  ASSERT_TRUE(store.Write(9, 2.0, {2}).ok());
   DumpFile(st::JoinPath(dir.path(), "tmp-snap-junk.snap"), {1, 2});
-  ASSERT_TRUE(store.SweepTempFiles().ok());
+  ASSERT_TRUE(store.Sweep(7).ok());
   auto names = st::Env::Posix()->ListDir(dir.path());
   ASSERT_TRUE(names.ok());
   ASSERT_EQ(names->size(), 1u);
@@ -818,6 +824,121 @@ TEST(Recovery, ResumedLogReadsAsOneContinuousHistory) {
   ExpectInteractionsEqual(data, second.interactions, "resumed log");
 }
 
+/// Appends data[from, to) in batches of 20. With a tracker, each batch
+/// is applied to it first and a snapshot is written every 100
+/// interactions. Every call reports Ok, as under a silent fault.
+void AppendRange(st::DurableLog* log, const std::vector<Interaction>& data,
+                 size_t from, size_t to, Tracker* tracker) {
+  for (size_t i = from; i < to;) {
+    const size_t n = std::min<size_t>(20, to - i);
+    for (size_t j = 0; tracker != nullptr && j < n; ++j) {
+      ASSERT_TRUE(tracker->Process(data[i + j]).ok());
+    }
+    ASSERT_TRUE(log->Append(&data[i], n).ok());
+    i += n;
+    if (tracker != nullptr && i % 100 == 0) {
+      std::vector<uint8_t> state;
+      tracker->SaveState(&state);
+      ASSERT_TRUE(log->WriteSnapshot(i, data[i - 1].t, state).ok());
+    }
+  }
+  ASSERT_TRUE(log->Seal().ok());
+}
+
+TEST(Recovery, ResumeAfterMidLogCorruptionReadsAsOneHistory) {
+  // Bit rot in the first segment's second record: the trusted log stops
+  // there, and the segments written after it are stale. A writer resumed
+  // at the trusted length must still extend one continuous history —
+  // the stale segments sort before its own and must not break it.
+  ScratchDir dir("resume_corrupt");
+  st::FaultInjectingEnv env(st::Env::Posix());
+  const Tin tin = GeneratedTin(24, 600, 14);
+  const std::vector<Interaction>& data = tin.interactions();
+
+  env.Arm({st::FaultMode::kCorruptWrite, 3, false});
+  {
+    auto log = st::DurableLog::Open(&env, dir.path(), 0, 0, SmallSegments());
+    ASSERT_TRUE(log.ok());
+    AppendRange(log->get(), data, 0, data.size(), nullptr);
+  }
+  env.Disarm();
+
+  st::ReadLogResult first;
+  ASSERT_TRUE(st::ReadLog(&env, dir.path(), &first).ok());
+  const size_t trusted = first.interactions.size();
+  ASSERT_EQ(trusted, 20u);
+  ASSERT_GE(first.segments_dropped, 1u);
+
+  {
+    auto log = st::DurableLog::Open(&env, dir.path(), trusted, first.next_seq,
+                                    SmallSegments());
+    ASSERT_TRUE(log.ok());
+    AppendRange(log->get(), data, trusted, data.size(), nullptr);
+  }
+  st::ReadLogResult second;
+  ASSERT_TRUE(st::ReadLog(&env, dir.path(), &second).ok());
+  ExpectInteractionsEqual(data, second.interactions, "resumed log");
+  EXPECT_EQ(second.segments_dropped, 0u);
+}
+
+TEST(Recovery, ResumedHistoryNeverRestoresAStaleSnapshot) {
+  // One segment, bit rot in its second record, snapshots every 100
+  // interactions after it: those snapshot files are valid but belong to
+  // a history the trusted log lost. A writer resumed at the trusted
+  // length with different interactions grows the log past them again;
+  // recovery must still equal a clean replay of the new log.
+  ScratchDir dir("resume_stale_snapshot");
+  st::FaultInjectingEnv env(st::Env::Posix());
+  const Tin tin = GeneratedTin(24, 600, 14);
+  const std::vector<Interaction>& data = tin.interactions();
+  auto factory = TrackerRegistry::Global().Factory(StreamingSpec("Prop-sparse"),
+                                                   tin.Stats());
+  ASSERT_TRUE(factory.ok());
+  st::DurableLogOptions one_segment;
+  one_segment.rotate_bytes = 1 << 20;
+
+  env.Arm({st::FaultMode::kCorruptWrite, 3, false});
+  {
+    auto log = st::DurableLog::Open(&env, dir.path(), 0, 0, one_segment);
+    ASSERT_TRUE(log.ok());
+    std::unique_ptr<Tracker> writer = (*factory)();
+    AppendRange(log->get(), data, 0, data.size(), writer.get());
+  }
+  env.Disarm();
+
+  st::ReadLogResult first;
+  ASSERT_TRUE(st::ReadLog(&env, dir.path(), &first).ok());
+  const size_t trusted = first.interactions.size();
+  ASSERT_EQ(trusted, 20u);
+  st::SnapshotStore store(&env, dir.path());
+  auto stale = store.List();
+  ASSERT_TRUE(stale.ok());
+  ASSERT_FALSE(stale->empty());
+  ASSERT_GT(stale->back().prefix, trusted);
+
+  std::vector<Interaction> resumed = data;
+  for (size_t i = trusted; i < resumed.size(); ++i) resumed[i].quantity *= 2;
+  {
+    auto log = st::DurableLog::Open(&env, dir.path(), trusted, first.next_seq,
+                                    one_segment);
+    ASSERT_TRUE(log.ok());
+    AppendRange(log->get(), resumed, trusted, resumed.size(), nullptr);
+  }
+
+  st::RecoveryManager manager(&env, dir.path());
+  auto recovered = manager.Recover(*factory);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  ExpectInteractionsEqual(resumed, recovered->log, "resumed history");
+  std::unique_ptr<Tracker> reference = (*factory)();
+  for (const Interaction& interaction : resumed) {
+    ASSERT_TRUE(reference->Process(interaction).ok());
+  }
+  std::vector<uint8_t> reference_state;
+  reference->SaveState(&reference_state);
+  EXPECT_EQ(recovered->state, reference_state);
+  EXPECT_TRUE(recovered->snapshots.empty());
+}
+
 // --- Tracker snapshot fuzzing (serialize hardening) ------------------------
 
 TEST(SnapshotFuzz, TruncateAndBitFlipEveryTrackerStateSafely) {
@@ -869,7 +990,6 @@ ServeOptions DurableServeOptions(const std::string& dir, st::Env* env) {
   options.durability.dir = dir;
   options.durability.env = env;
   options.durability.log.rotate_bytes = 4096;
-  options.durability.history_snapshot_interval = 200;
   return options;
 }
 
@@ -1120,37 +1240,6 @@ TEST(ServeDurable, StatuszReportsDisabledWithoutADirectory) {
   const std::string statusz = (*service)->StatuszJson();
   EXPECT_NE(statusz.find("\"storage\":{\"enabled\":false"),
             std::string::npos);
-}
-
-TEST(ServeDurable, RejectsTwoHistorySources) {
-  ScratchDir dir("serve_conflict");
-  const Tin tin = GeneratedTin(20, 400, 20);
-  const DatasetStats stats = tin.Stats();
-  const TrackerSpec spec = StreamingSpec("FIFO");
-
-  {
-    auto service = ProvenanceService::Create(
-        spec, stats, DurableServeOptions(dir.path(), nullptr));
-    ASSERT_TRUE(service.ok());
-    ASSERT_TRUE((*service)
-                    ->Start(std::make_unique<VectorStream>(
-                        stats.num_vertices, tin.interactions()))
-                    .ok());
-    ASSERT_TRUE((*service)->WaitIngest().ok());
-  }
-
-  auto factory = TrackerRegistry::Global().Factory(spec, stats);
-  ASSERT_TRUE(factory.ok());
-  auto index = TimeTravelIndex::NewStreaming(stats.num_vertices, *factory, 64);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Observe({0, 1, 0.5, 1.0}).ok());
-  ASSERT_TRUE((*index)->Finalize().ok());
-
-  auto conflicted = ProvenanceService::CreateWithHistory(
-      spec, stats, std::shared_ptr<const TimeTravelIndex>(std::move(*index)),
-      DurableServeOptions(dir.path(), nullptr));
-  ASSERT_FALSE(conflicted.ok());
-  EXPECT_EQ(conflicted.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServeDurable, OpsServerRegistersStorageHealthChecks) {
