@@ -170,9 +170,11 @@ assert "ingest.watermark_lag" in doc["checks"], sorted(doc["checks"])
   curl -fsS "${BASE}/statusz" | python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
-for key in ("service", "epoch", "ingest", "queries", "memory", "recorder"):
+for key in ("service", "epoch", "publish", "ingest", "queries", "memory",
+            "recorder"):
     assert key in doc, f"statusz missing {key}"
 assert doc["epoch"]["prefix"] >= 0
+assert "publish_ns_p50" in doc["publish"], sorted(doc["publish"])
 '
   curl -fsS "${BASE}/tracez?slow=1" | python3 -c '
 import json, sys

@@ -12,6 +12,7 @@
 #ifndef TINPROV_CORE_BUFFER_H_
 #define TINPROV_CORE_BUFFER_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -178,6 +179,15 @@ class RingDeque {
   const T& At(size_t i) const {
     assert(i < size_);
     return items_[Wrap(head_ + i)];
+  }
+
+  /// Appends every item to `out`, front to back, as at most two
+  /// contiguous runs: head to the array's end, then the wrapped rest.
+  void AppendTo(std::vector<T>* out) const {
+    const size_t first = std::min(size_, items_.size() - head_);
+    out->insert(out->end(), items_.data() + head_,
+                items_.data() + head_ + first);
+    out->insert(out->end(), items_.data(), items_.data() + (size_ - first));
   }
 
   size_t capacity() const { return items_.size(); }

@@ -78,9 +78,7 @@ Buffer ReceiptOrderTracker::Provenance(VertexId v) const {
   const RingDeque<ProvPair>& buffer = buffers_[v];
   result.entries.reserve(buffer.size());
   // Oldest first, i.e. FIFO consumption order.
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    result.entries.push_back(buffer.At(i));
-  }
+  buffer.AppendTo(&result.entries);
   return result;
 }
 

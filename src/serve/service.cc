@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -65,31 +67,120 @@ std::vector<VertexId> AllVertices(size_t num_vertices) {
   return all;
 }
 
-/// The answer every vertex with empty state shares.
-const std::shared_ptr<const Buffer>& EmptyAnswer() {
-  static const std::shared_ptr<const Buffer> empty =
-      std::make_shared<const Buffer>();
-  return empty;
-}
+/// One published answer: a vertex's Buffer as of table `first_seq`,
+/// the first table that reaches it. Written once, before publication.
+struct Answer {
+  Buffer buffer;
+  uint64_t first_seq = 0;
+};
+
+/// The answer every vertex with empty state points at.
+const Answer kEmptyAnswer;
 
 }  // namespace
 
+/// The writer-side owner of every published answer, with epoch-based
+/// reclamation (Fraser, "Practical lock-freedom", 2004; McKenney's RCU)
+/// deciding when one may go. The newest table's answers are live: the
+/// store allocates them and holds them through that table's leaves
+/// (the service's destructor frees them with DeleteAnswers). An answer
+/// a publish replaces is retired with the range of table seqs that can
+/// reach it: from its first_seq to the seq before the table that
+/// replaced it. Every AnswerTable registers its seq for as long as
+/// it lives, so a retired answer is freed — by the writer, never by a
+/// reader — at the first Reclaim() after no live table's seq falls
+/// inside its range. A reader pinning an old view thus holds exactly
+/// the answers that view can reach.
+class ProvenanceService::AnswerStore {
+ public:
+  /// Any thread: the lifetime of table `seq` (its constructor and
+  /// destructor; the last reference to a table may be a reader's).
+  void Register(uint64_t seq) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    live_seqs_.insert(seq);
+  }
+  void Unregister(uint64_t seq) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    live_seqs_.erase(live_seqs_.find(seq));
+  }
+
+  /// Writer: `answer` replaces `old` from table `seq` on. Retires `old`;
+  /// returns what the new table's leaf points at.
+  const Answer* Install(const Answer* old, Buffer answer, uint64_t seq) {
+    if (old != &kEmptyAnswer) {
+      const size_t bytes =
+          sizeof(Answer) + old->buffer.entries.capacity() * sizeof(ProvPair);
+      retired_bytes_ += bytes;
+      retired_.push_back(
+          {std::unique_ptr<const Answer>(old), old->first_seq, seq - 1, bytes});
+    }
+    if (answer.entries.empty() && answer.total == 0.0 &&
+        !std::signbit(answer.total)) {
+      return &kEmptyAnswer;
+    }
+    return new Answer{std::move(answer), seq};
+  }
+
+  /// Writer: frees every retired answer no live table can reach, and
+  /// returns the bytes of those still awaiting reclamation.
+  size_t Reclaim() {
+    // Only the writer builds tables, so no seq appears while the scan
+    // runs; one that disappears meanwhile only defers a free.
+    std::vector<uint64_t> live;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      live.assign(live_seqs_.begin(), live_seqs_.end());
+    }
+    size_t kept = 0;
+    for (Retired& retired : retired_) {
+      const auto it =
+          std::lower_bound(live.begin(), live.end(), retired.first_seq);
+      if (it != live.end() && *it <= retired.last_seq) {
+        retired_[kept++] = std::move(retired);
+      } else {
+        retired_bytes_ -= retired.bytes;
+      }
+    }
+    retired_.resize(kept);
+    return retired_bytes_;
+  }
+
+ private:
+  /// The scan reads only these records, never the answers they own.
+  struct Retired {
+    std::unique_ptr<const Answer> answer;
+    uint64_t first_seq;
+    uint64_t last_seq;
+    size_t bytes;
+  };
+
+  std::mutex mu_;
+  std::multiset<uint64_t> live_seqs_;  // guarded by mu_
+
+  // Writer-only.
+  std::vector<Retired> retired_;
+  size_t retired_bytes_ = 0;
+};
+
 /// One epoch's answers: Provenance(v) of every vertex, held as a
-/// persistent two-level trie of immutable per-vertex buffers — kFanout
-/// buffers per leaf, kFanout leaves per branch (Bagwell's path-copied
-/// vectors). A successor is path-copied from its predecessor: only the
-/// leaves holding a changed vertex, and the branches above them, are
-/// new; every other leaf, branch and Buffer is shared.
+/// persistent two-level trie of plain pointers to the AnswerStore's
+/// immutable answers — kFanout pointers per leaf, kFanout leaves per
+/// branch (Bagwell's path-copied vectors). A successor is path-copied
+/// from its predecessor: only the leaves holding a changed vertex, and
+/// the branches above them, are new; every other leaf and branch is
+/// shared. Copying a leaf is a flat copy of its pointers, with no
+/// reference count to touch.
 class ProvenanceService::AnswerTable {
  public:
   static constexpr size_t kFanoutBits = 6;
   static constexpr size_t kFanout = size_t{1} << kFanoutBits;
   static constexpr size_t kMask = kFanout - 1;
 
-  /// Every vertex answers the empty buffer.
-  explicit AnswerTable(size_t num_vertices) {
+  /// Table `seq` in which every vertex answers the empty buffer.
+  AnswerTable(size_t num_vertices, uint64_t seq, AnswerStore* store)
+      : AnswerTable(seq, store) {
     auto leaf = std::make_shared<Leaf>();
-    leaf->fill(EmptyAnswer());
+    leaf->fill(&kEmptyAnswer);
     auto branch = std::make_shared<Branch>();
     branch->fill(std::move(leaf));
     const size_t per_branch = kFanout * kFanout;
@@ -97,17 +188,38 @@ class ProvenanceService::AnswerTable {
                      std::move(branch));
   }
 
+  ~AnswerTable() { store_->Unregister(seq_); }
+
+  AnswerTable(const AnswerTable&) = delete;
+  AnswerTable& operator=(const AnswerTable&) = delete;
+
   const Buffer& At(VertexId v) const {
     const Branch& branch = *branches_[v >> (2 * kFanoutBits)];
-    return *(*branch[(v >> kFanoutBits) & kMask])[v & kMask];
+    return (*branch[(v >> kFanoutBits) & kMask])[v & kMask]->buffer;
   }
 
-  /// A successor in which each vertex of `changed` (ascending, distinct)
-  /// answers answer(v).
+  /// Frees the answers this table points at. Only for the newest table
+  /// once nothing reads it: its answers are the live ones, which no
+  /// retired record owns. Each sits in exactly one slot, since only the
+  /// all-empty initial leaf is shared between positions.
+  void DeleteAnswers() const {
+    for (const auto& branch : branches_) {
+      for (const auto& leaf : *branch) {
+        for (const Answer* answer : *leaf) {
+          if (answer != &kEmptyAnswer) delete answer;
+        }
+      }
+    }
+  }
+
+  /// Table `seq`, a successor in which each vertex of `changed`
+  /// (ascending, distinct) answers answer(v), installed in the store.
   template <typename AnswerFn>
   std::shared_ptr<const AnswerTable> With(const std::vector<VertexId>& changed,
+                                          uint64_t seq,
                                           const AnswerFn& answer) const {
-    auto next = std::make_shared<AnswerTable>(*this);
+    std::shared_ptr<AnswerTable> next(new AnswerTable(seq, store_));
+    next->branches_ = branches_;
     size_t i = 0;
     while (i < changed.size()) {
       const size_t b = changed[i] >> (2 * kFanoutBits);
@@ -117,7 +229,8 @@ class ProvenanceService::AnswerTable {
         auto leaf = std::make_shared<Leaf>(*(*branch)[leaf_index & kMask]);
         for (; i < changed.size() && (changed[i] >> kFanoutBits) == leaf_index;
              ++i) {
-          (*leaf)[changed[i] & kMask] = answer(changed[i]);
+          const Answer*& slot = (*leaf)[changed[i] & kMask];
+          slot = store_->Install(slot, answer(changed[i]), seq);
         }
         (*branch)[leaf_index & kMask] = std::move(leaf);
       }
@@ -127,9 +240,15 @@ class ProvenanceService::AnswerTable {
   }
 
  private:
-  using Leaf = std::array<std::shared_ptr<const Buffer>, kFanout>;
+  using Leaf = std::array<const Answer*, kFanout>;
   using Branch = std::array<std::shared_ptr<const Leaf>, kFanout>;
 
+  AnswerTable(uint64_t seq, AnswerStore* store) : seq_(seq), store_(store) {
+    store_->Register(seq_);
+  }
+
+  uint64_t seq_;
+  AnswerStore* store_;
   std::vector<std::shared_ptr<const Branch>> branches_;
 };
 
@@ -241,7 +360,10 @@ StatusOr<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
 ProvenanceService::ProvenanceService(ShardedSpec spec,
                                      const DatasetStats& stats,
                                      const ServeOptions& options)
-    : spec_(std::move(spec)), stats_(stats), options_(options) {
+    : spec_(std::move(spec)),
+      stats_(stats),
+      options_(options),
+      answers_(std::make_unique<AnswerStore>()) {
   if (options_.epoch_interval == 0) options_.epoch_interval = 1;
   if (options_.ring_size == 0) options_.ring_size = 1;
   if (options_.ingest_batch == 0) options_.ingest_batch = 1;
@@ -257,6 +379,9 @@ ProvenanceService::~ProvenanceService() {
   // Workers execute through `this`; stop them before anything else.
   pool_.reset();
   if (writer_.joinable()) writer_.join();
+  // The store owns the retired answers; the live ones go with the
+  // newest table.
+  if (latest_ != nullptr) latest_->Latest().table->DeleteAnswers();
 }
 
 Status ProvenanceService::Init(storage::RecoveredState recovered) {
@@ -293,11 +418,12 @@ Status ProvenanceService::Init(storage::RecoveredState recovered) {
   epoch->info.prefix = recovered.prefix;
   epoch->info.watermark = recovered.watermark;
   // A fresh tracker buffers nothing: every vertex starts empty.
-  epoch->table = std::make_shared<const AnswerTable>(stats_.num_vertices);
+  epoch->table = std::make_shared<const AnswerTable>(
+      stats_.num_vertices, epoch->info.seq, answers_.get());
   if (recovered.prefix > 0) {
-    epoch->table =
-        epoch->table->With(AllVertices(stats_.num_vertices),
-                           [this](VertexId v) { return AnswerOf(v); });
+    epoch->table = epoch->table->With(
+        AllVertices(stats_.num_vertices), epoch->info.seq,
+        [this](VertexId v) { return live_tracker_->Provenance(v); });
   }
 
   // The retained history resumes from the recovered one: the trusted log
@@ -347,15 +473,6 @@ void ProvenanceService::Retain(const Interaction& interaction) {
   ++log_size_;
 }
 
-std::shared_ptr<const Buffer> ProvenanceService::AnswerOf(VertexId v) const {
-  Buffer buffer = live_tracker_->Provenance(v);
-  if (buffer.entries.empty() && buffer.total == 0.0 &&
-      !std::signbit(buffer.total)) {
-    return EmptyAnswer();
-  }
-  return std::make_shared<const Buffer>(std::move(buffer));
-}
-
 bool ProvenanceService::SnapshotDue(size_t prefix) const {
   if (!options_.retain_history && durable_ == nullptr) return false;
   return (prefix - snapshot_prefix_) * sizeof(Interaction) >=
@@ -385,13 +502,14 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   // Build the successor view from the current one. The writer is the
   // only publisher, so reading the previous view is race-free; readers
   // keep pinning the old view until the store below.
-  const std::shared_ptr<const EpochView> prev = PinView();
+  std::shared_ptr<const EpochView> prev = PinView();
   auto epoch = std::make_shared<EpochView::Epoch>();
   epoch->info.seq = next_seq_++;
   epoch->info.prefix = prefix;
   epoch->info.watermark = watermark;
   epoch->table = prev->Latest().table->With(
-      changed, [this](VertexId v) { return AnswerOf(v); });
+      changed, epoch->info.seq,
+      [this](VertexId v) { return live_tracker_->Provenance(v); });
 
   auto view = std::make_shared<EpochView>();
   view->ring = prev->ring;
@@ -416,6 +534,10 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   std::atomic_store_explicit(&latest_,
                              std::shared_ptr<const EpochView>(std::move(view)),
                              std::memory_order_release);
+  // Unpinned, the epochs that fell off the ring die unless a reader
+  // still holds them, and the answers only they reached can go.
+  prev.reset();
+  ReclaimAnswers();
 
   TINPROV_COUNTER_ADD("serve.epochs_published", 1);
   TINPROV_HISTOGRAM_OBSERVE("serve.epoch_age_ns",
@@ -456,6 +578,10 @@ class DurableBatchSink : public BatchSink {
 };
 
 }  // namespace
+
+void ProvenanceService::ReclaimAnswers() {
+  TINPROV_GAUGE_SET("memory.serve_retired_answer_bytes", answers_->Reclaim());
+}
 
 Status ProvenanceService::RunIngest() {
   obs::TraceSpan span("serve.ingest", "serve");
@@ -564,6 +690,8 @@ Status ProvenanceService::Start(std::unique_ptr<InteractionStream> stream) {
   since_publish_.Restart();
   writer_ = std::thread([this] {
     ingest_status_ = RunIngest();
+    // Readers that pinned the last epochs may have let them go since.
+    ReclaimAnswers();
     ingest_done_.store(true, std::memory_order_release);
   });
   return Status::Ok();
@@ -772,6 +900,10 @@ std::string ProvenanceService::StatuszJson() const {
   out += "},\"publish\":{\"count\":" + std::to_string(dirty->Count());
   out += ",\"dirty_vertices_p50\":" + JsonDouble(dirty->Percentile(0.5));
   out += ",\"dirty_vertices_p99\":" + JsonDouble(dirty->Percentile(0.99));
+  const obs::Histogram* publish_ns =
+      registry.GetHistogram("serve.snapshot_publish_ns");
+  out += ",\"publish_ns_p50\":" + JsonDouble(publish_ns->Percentile(0.5));
+  out += ",\"publish_ns_p99\":" + JsonDouble(publish_ns->Percentile(0.99));
   out += ",\"snapshots_taken\":" +
          std::to_string(registry.GetCounter("serve.snapshots_taken")->Value());
   out += "},\"ingest\":{\"done\":";

@@ -11,13 +11,14 @@
 // tracker.
 //
 // Publishing costs what changed, not |V|. The answer table is a
-// persistent two-level trie of shared immutable per-vertex Buffers.
-// The writer re-reads Provenance(v) only for the endpoints of the
-// interactions applied since the last publish (or for every vertex
-// when Tracker::WideChanges() moved, e.g. a Windowed reset), and
-// path-copies only the leaves that hold them; everything else is
-// shared with the previous epoch. Vertices with empty state share one
-// empty Buffer.
+// persistent two-level trie whose leaves hold plain pointers to
+// immutable answers. The writer re-reads Provenance(v) only for the
+// endpoints of the interactions applied since the last publish (or for
+// every vertex when Tracker::WideChanges() moved, e.g. a Windowed
+// reset), and path-copies only the leaves that hold them: a flat
+// pointer copy, with no reference count to touch. Everything else is
+// shared with the previous epoch, and vertices with empty state point
+// at one static empty answer.
 //
 // Concurrency model (RCU-style epoch pinning):
 //   - The service holds one std::shared_ptr<const EpochView>, published
@@ -35,6 +36,18 @@
 //     stay valid while the writer fills later slots. Readers only read
 //     entries below their pinned view's prefix, all written before the
 //     view's release-store — no torn reads, TSan-clean.
+//   - Answers are reclaimed by epoch (Fraser, "Practical lock-freedom",
+//     2004; McKenney's RCU). The writer alone allocates and frees them
+//     (the destructor frees those the newest table still holds).
+//     An answer a publish replaces is retired with the range of table
+//     seqs that reach it. Each answer table registers its seq in a
+//     registry of live tables for as long as it lives; the registry's
+//     own mutex guards it, since a table's destructor runs on whichever
+//     thread drops the last view holding it, a reader's included. At
+//     every publish and once when ingest ends, the writer frees each
+//     retired answer no live table's seq falls within. A reader that
+//     pins an old view therefore keeps exactly the answers that view
+//     reaches (memory.serve_retired_answer_bytes), and never frees one.
 //   - Writer-side state (live tracker, changed-vertex set, chunk list,
 //     snapshot bookkeeping) is touched only by the writer thread.
 //
@@ -140,7 +153,7 @@ struct ServeOptions {
   /// Recent epochs kept pinned by new views (older epochs survive only
   /// while an in-flight reader still pins them). With history retention
   /// on, the ring gives historical queries an exact-prefix fast path; an
-  /// older epoch costs only the leaves and Buffers its successors
+  /// older epoch costs only the leaves and answers its successors
   /// replaced.
   size_t ring_size = 4;
   /// StreamIngestor micro-batch size for the writer.
@@ -315,6 +328,7 @@ class ProvenanceService {
   double EpochAgeSeconds() const;
 
  private:
+  class AnswerStore;  // service.cc: owns and reclaims published answers
   class AnswerTable;  // service.cc: one epoch's path-copied answers
   struct EpochView;   // service.cc: the immutable published state
 
@@ -341,8 +355,10 @@ class ProvenanceService {
   /// SnapshotDue(prefix).
   Status PublishEpoch(size_t prefix, Timestamp watermark);
 
-  /// Writer: v's live answer, shared with every empty vertex when empty.
-  std::shared_ptr<const Buffer> AnswerOf(VertexId v) const;
+  /// Writer: frees the answers no live table reaches any more and
+  /// publishes the bytes still awaiting reclamation
+  /// (memory.serve_retired_answer_bytes).
+  void ReclaimAnswers();
 
   /// Writer: the log-volume snapshot rule (see the file comment), when
   /// history retention or durability keeps snapshots at all.
@@ -396,6 +412,9 @@ class ProvenanceService {
   uint64_t next_seq_ = 0;
   Stopwatch since_publish_;  // serve.epoch_age_ns at publish time
 
+  /// Every published answer and the registry of live answer tables.
+  /// Declared before latest_ so that it outlives every table.
+  std::unique_ptr<AnswerStore> answers_;
   // Shared: the RCU-published view; writer stores, readers load.
   std::shared_ptr<const EpochView> latest_;
 

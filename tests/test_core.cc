@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/buffer.h"
@@ -142,6 +143,13 @@ TEST(RingDequeTest, RandomizedAgainstReference) {
       reference.pop_back();
     }
     ASSERT_EQ(deque.size(), reference.size());
+    // AppendTo keeps what `out` held and adds the ring front to back,
+    // wrapped or not.
+    std::vector<int> out = {-1};
+    deque.AppendTo(&out);
+    ASSERT_EQ(out.size(), reference.size() + 1);
+    ASSERT_EQ(out.front(), -1);
+    ASSERT_TRUE(std::equal(reference.begin(), reference.end(), out.begin() + 1));
   }
 }
 

@@ -15,10 +15,13 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -29,6 +32,7 @@
 #include "datagen/generator.h"
 #include "lazy/replay.h"
 #include "obs/health.h"
+#include "obs/metrics.h"
 #include "obs/slowlog.h"
 #include "parallel/scheduler.h"
 #include "serve/request_queue.h"
@@ -95,6 +99,22 @@ void ExpectSameBuffer(const Buffer& expected, const Buffer& actual,
         << actual.entries[i].origin << ", " << actual.entries[i].quantity
         << ")";
   }
+}
+
+// Bit for bit, beyond ExpectSameBuffer: a -0.0 total differs from 0.0.
+bool SameBits(const Buffer& expected, const Buffer& actual) {
+  if (std::memcmp(&expected.total, &actual.total, sizeof(double)) != 0 ||
+      expected.entries.size() != actual.entries.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < expected.entries.size(); ++i) {
+    if (expected.entries[i].origin != actual.entries[i].origin ||
+        std::memcmp(&expected.entries[i].quantity, &actual.entries[i].quantity,
+                    sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Stop-the-world reference: a fresh identically configured tracker
@@ -258,6 +278,162 @@ INSTANTIATE_TEST_SUITE_P(
     Names, ServeEpochTableTest,
     ::testing::ValuesIn(TrackerRegistry::Global().Names()), SanitizeName);
 
+// Multi-branch answer tables. GeneratedTin's 60 vertices fit in one
+// trie leaf; this input spans two full branches (a branch holds 64
+// leaves of 64 vertices) and part of a third, so a publish path-copies
+// leaves under several branches. Its stream runs in epoch-aligned
+// phases over vertices at the leaf boundary (63/64), the branch
+// boundary (4095/4096) and the maximum id. Every quantity is a multiple
+// of 1/4, so sums are exact and a drained vertex is exactly empty.
+constexpr size_t kMultiBranchPhase = 48;  // interactions; the epoch interval
+constexpr VertexId kMultiBranchVertices = 2 * 4096 + 3;
+constexpr VertexId kToggled[] = {63, 64, 4095, 4096};
+// Idle until phase 3, so the restart after phase 0 can recover its
+// total as -0.0, which it keeps until it fills in phase 3 and drains in
+// phase 4.
+constexpr VertexId kSignedZero = 4500;
+
+struct MultiBranchInput {
+  DatasetStats stats;
+  std::vector<Interaction> log;
+};
+
+// Phase 0 is traffic among busy vertices. The toggled vertices fill
+// (phase 1), drain (2), fill (3) and drain (4) again, each from its own
+// otherwise idle partner (v + 1000) and into a busy vertex. Busy
+// traffic pads every phase. `extra_phases` more phases of busy traffic
+// follow; the last of them is half-length, so the final epoch is
+// partial.
+MultiBranchInput MultiBranchLog(size_t extra_phases) {
+  const VertexId last = kMultiBranchVertices - 1;
+  const std::vector<VertexId> busy = {0,    1,    62,   65,   127,  128,
+                                      4094, 4097, 6000, 8191, 8192, last};
+  std::mt19937_64 rng(7);
+  std::vector<Interaction> log;
+  auto add = [&log](VertexId src, VertexId dst, double quantity) {
+    log.push_back({src, dst, static_cast<Timestamp>(log.size()), quantity});
+  };
+  const size_t phases = 5 + extra_phases;
+  for (size_t phase = 0; phase < phases; ++phase) {
+    for (const VertexId v : kToggled) {
+      if (phase == 1 || phase == 3) add(v + 1000, v, 2.5);
+      if (phase == 2 || phase == 4) add(v, busy[v % busy.size()], 2.5);
+    }
+    if (phase == 3) add(kSignedZero + 1000, kSignedZero, 1.0);
+    if (phase == 4) add(kSignedZero, busy[0], 1.0);
+    const bool partial = extra_phases > 0 && phase + 1 == phases;
+    const size_t end =
+        phase * kMultiBranchPhase +
+        (partial ? kMultiBranchPhase / 2 : kMultiBranchPhase);
+    while (log.size() < end) {
+      const VertexId src = busy[rng() % busy.size()];
+      const VertexId dst = busy[rng() % busy.size()];
+      add(src, dst, 0.25 * static_cast<double>(1 + rng() % 32));
+    }
+  }
+  return {{kMultiBranchVertices, log.size()}, std::move(log)};
+}
+
+// Every epoch of a multi-branch table equals stop-the-world replay bit
+// for bit. The service restarts from a durable directory holding phase
+// 0 and a snapshot of it in which kSignedZero's total is -0.0, so the
+// recovered epoch installs every vertex at once and one answer is a
+// signed zero that must not collapse into the empty answer.
+class ServeMultiBranchTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServeMultiBranchTest, EveryEpochMatchesStopTheWorldBitForBit) {
+  const MultiBranchInput input = MultiBranchLog(/*extra_phases=*/2);
+  const std::vector<Interaction>& log = input.log;
+  TrackerSpec spec = StreamingSpec(GetParam());
+  spec.params.window = 100;  // Windowed re-reads every vertex mid-stream
+  auto factory = TrackerRegistry::Global().Factory(spec, input.stats);
+  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+
+  // Every tracker's SaveState image opens with num_vertices and
+  // total_generated, then its per-vertex totals (little-endian doubles
+  // on the hosts this runs on): set the sign bit of kSignedZero's.
+  const size_t restart = kMultiBranchPhase;
+  std::unique_ptr<Tracker> reference = (*factory)();
+  for (size_t i = 0; i < restart; ++i) {
+    ASSERT_TRUE(reference->Process(log[i]).ok());
+  }
+  std::vector<uint8_t> image;
+  reference->SaveState(&image);
+  const size_t sign_byte = sizeof(uint64_t) + sizeof(double) +
+                           (kSignedZero + 1) * sizeof(double) - 1;
+  ASSERT_LT(sign_byte, image.size());
+  ASSERT_EQ(image[sign_byte], 0);
+  image[sign_byte] = 0x80;
+  ASSERT_TRUE(reference->RestoreState(image).ok());
+  ASSERT_TRUE(std::signbit(reference->Provenance(kSignedZero).total))
+      << GetParam() << ": SaveState layout changed";
+
+  DurableDir dir("multi_branch");
+  {
+    auto seed = storage::DurableLog::Open(storage::Env::Posix(), dir.path(),
+                                          0, 0);
+    ASSERT_TRUE(seed.ok()) << seed.status().ToString();
+    ASSERT_TRUE((*seed)->Append(log.data(), restart).ok());
+    ASSERT_TRUE(
+        (*seed)->WriteSnapshot(restart, log[restart - 1].t, image).ok());
+    ASSERT_TRUE((*seed)->Seal().ok());
+  }
+  ServeOptions options;
+  options.epoch_interval = kMultiBranchPhase;
+  options.ingest_batch = 16;
+  options.ring_size = 16;  // more than the 7 epochs published
+  options.durability.dir = dir.path();
+  options.durability.log.sync_each_append = false;
+  auto service = ProvenanceService::Create(spec, input.stats, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_EQ((*service)->LatestEpoch().prefix, restart);
+  ASSERT_TRUE((*service)
+                  ->Start(std::make_unique<VectorStream>(
+                      kMultiBranchVertices,
+                      std::vector<Interaction>(log.begin() + restart,
+                                               log.end())))
+                  .ok());
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+
+  std::vector<size_t> prefixes;
+  for (size_t p = restart; p < log.size(); p += kMultiBranchPhase) {
+    prefixes.push_back(p);
+  }
+  prefixes.push_back(log.size());
+  ASSERT_EQ((*service)->LatestEpoch().seq + 1, prefixes.size());
+
+  std::vector<bool> toggled_empty;
+  size_t applied = restart;
+  for (const size_t prefix : prefixes) {
+    for (; applied < prefix; ++applied) {
+      ASSERT_TRUE(reference->Process(log[applied]).ok());
+    }
+    const Buffer toggled = reference->Provenance(kToggled[0]);
+    toggled_empty.push_back(toggled.entries.empty() && toggled.total == 0.0);
+    const Timestamp t = log[prefix - 1].t;
+    for (VertexId v = 0; v < kMultiBranchVertices; ++v) {
+      const QueryResult result = (*service)->Provenance(v, t);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      ASSERT_EQ(result.epoch.prefix, prefix);
+      ASSERT_EQ(result.replayed_interactions, 0u);
+      ASSERT_TRUE(SameBits(reference->Provenance(v), result.buffer))
+          << GetParam() << " prefix " << prefix << " vertex " << v;
+    }
+  }
+  // The input's shape: the toggled vertices went empty, non-empty,
+  // empty, non-empty and empty again across the epochs. (Windowed's
+  // resets drop state on a schedule of their own.)
+  if (GetParam() != "Windowed") {
+    EXPECT_EQ(toggled_empty, (std::vector<bool>{true, false, true, false,
+                                                true, true, true}))
+        << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Names, ServeMultiBranchTest,
+    ::testing::ValuesIn(TrackerRegistry::Global().Names()), SanitizeName);
+
 // ---------------------------------------------------------------------
 // (b) Concurrent readers against the live writer: every answer, taken
 // at whatever epoch the reader happened to pin, must equal the
@@ -336,6 +512,167 @@ TEST(ServeConcurrencyTest, ConcurrentReadersBitIdenticalToStopTheWorld) {
                          std::to_string(sample.v));
   }
 }
+
+// Hands out a log one epoch at a time: the first interaction of each
+// epoch waits until the readers have made `queries_per_epoch` more
+// queries, so every published epoch meets readers.
+class PacedStream : public InteractionStream {
+ public:
+  PacedStream(const MultiBranchInput* input, size_t epoch_interval,
+              const std::atomic<size_t>* queries, size_t queries_per_epoch)
+      : input_(input),
+        epoch_interval_(epoch_interval),
+        queries_(queries),
+        queries_per_epoch_(queries_per_epoch) {}
+
+  bool Next(Interaction* out) override {
+    if (cursor_ == input_->log.size()) return false;
+    if (cursor_ % epoch_interval_ == 0) {
+      const size_t target = queries_->load() + queries_per_epoch_;
+      while (queries_->load() < target) std::this_thread::yield();
+    }
+    *out = input_->log[cursor_++];
+    return true;
+  }
+
+  DatasetStats Stats() const override { return input_->stats; }
+
+ private:
+  const MultiBranchInput* input_;
+  size_t epoch_interval_;
+  const std::atomic<size_t>* queries_;
+  size_t queries_per_epoch_;
+  size_t cursor_ = 0;
+};
+
+// Reclamation: only the writer frees answers, and only once no live
+// table reaches them. Readers query a multi-branch table while
+// publishes retire what they read; every answer must still equal
+// stop-the-world replay of its epoch. Under the sanitizer builds a
+// premature free is a use-after-free and a missed one a leak.
+class ServeReclamationTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServeReclamationTest, ConcurrentReadersMatchStopTheWorld) {
+  const MultiBranchInput input = MultiBranchLog(/*extra_phases=*/120);
+  TrackerSpec spec = StreamingSpec(GetParam());
+  spec.params.window = 1000;  // a few Windowed publishes replace every answer
+  ServeOptions options;
+  options.epoch_interval = kMultiBranchPhase / 2;
+  options.ingest_batch = 8;
+  options.ring_size = 2;
+  auto service = ProvenanceService::Create(spec, input.stats, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  // The vertices the stream changes, and an idle one per branch.
+  std::vector<VertexId> watched = {0,    1,    62,   63,   64,   65,
+                                   127,  128,  1063, 1064, 4094, 4095,
+                                   4096, 4097, 5095, 5096, 6000, 8191,
+                                   8192, kMultiBranchVertices - 1, 2000,
+                                   kSignedZero, kSignedZero + 1000, 7000};
+  struct Sample {
+    size_t prefix = 0;
+    VertexId v = 0;
+    Buffer buffer;
+  };
+  constexpr size_t kReaders = 3;
+  constexpr size_t kMaxSamples = 200000;  // kept per reader
+  std::vector<std::vector<Sample>> samples(kReaders);
+  std::atomic<size_t> queries{0};
+  std::atomic<bool> failed{false};
+
+  ASSERT_TRUE((*service)
+                  ->Start(std::make_unique<PacedStream>(
+                      &input, options.epoch_interval, &queries,
+                      /*queries_per_epoch=*/30))
+                  .ok());
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      // Keeps querying after a failure: the paced stream waits on every
+      // reader's progress.
+      size_t i = r;
+      while (!(*service)->IngestDone()) {
+        const VertexId v = watched[i++ % watched.size()];
+        QueryResult result = (*service)->Provenance(v);
+        queries.fetch_add(1);
+        if (!result.status.ok()) {
+          failed.store(true);
+          continue;
+        }
+        if (samples[r].size() < kMaxSamples) {
+          samples[r].push_back(
+              {result.epoch.prefix, v, std::move(result.buffer)});
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+  ASSERT_FALSE(failed.load());
+
+  std::vector<Sample> all;
+  for (auto& per_reader : samples) {
+    for (Sample& sample : per_reader) all.push_back(std::move(sample));
+  }
+  for (const VertexId v : watched) {
+    QueryResult result = (*service)->Provenance(v);
+    ASSERT_TRUE(result.status.ok());
+    all.push_back({result.epoch.prefix, v, std::move(result.buffer)});
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Sample& a, const Sample& b) {
+                     return a.prefix < b.prefix;
+                   });
+  auto factory = TrackerRegistry::Global().Factory(spec, input.stats);
+  ASSERT_TRUE(factory.ok());
+  std::unique_ptr<Tracker> reference = (*factory)();
+  size_t applied = 0;
+  for (const Sample& sample : all) {
+    ASSERT_LE(sample.prefix, input.log.size());
+    for (; applied < sample.prefix; ++applied) {
+      ASSERT_TRUE(reference->Process(input.log[applied]).ok());
+    }
+    ASSERT_TRUE(SameBits(reference->Provenance(sample.v), sample.buffer))
+        << GetParam() << " prefix " << sample.prefix << " vertex "
+        << sample.v;
+  }
+}
+
+// memory.serve_retired_answer_bytes counts answers that a live table
+// still reaches although a newer one replaced them. After the drain the
+// ring's older epochs reach some; with one ring slot and no reader,
+// nothing does, so the final publish frees every retired answer.
+TEST_P(ServeReclamationTest, RetiredAnswerBytesFollowTheRing) {
+  const MultiBranchInput input = MultiBranchLog(/*extra_phases=*/4);
+  TrackerSpec spec = StreamingSpec(GetParam());
+  spec.params.window = 100;
+  for (const size_t ring_size : {4, 1}) {
+    ServeOptions options;
+    options.epoch_interval = kMultiBranchPhase;
+    options.ring_size = ring_size;
+    auto service = ProvenanceService::Create(spec, input.stats, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_TRUE((*service)
+                    ->Start(std::make_unique<VectorStream>(
+                        kMultiBranchVertices, input.log))
+                    .ok());
+    ASSERT_TRUE((*service)->WaitIngest().ok());
+#if defined(TINPROV_METRICS_ENABLED)
+    const double retired = obs::MetricsRegistry::Global()
+                               .GetGauge("memory.serve_retired_answer_bytes")
+                               ->Value();
+    if (ring_size == 1) {
+      EXPECT_EQ(retired, 0.0) << GetParam();
+    } else {
+      EXPECT_GT(retired, 0.0) << GetParam();
+    }
+#endif
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Names, ServeReclamationTest,
+                         ::testing::Values("FIFO", "Prop-sparse", "Windowed"),
+                         SanitizeName);
 
 TEST(ServeConcurrencyTest, WorkerPoolResolvesSubmittedQueries) {
   const Tin tin = GeneratedTin();
@@ -1115,7 +1452,11 @@ TEST(ServeOpsTest, StatuszReportsPublishCostAndSnapshots) {
 
   EXPECT_NE(after.find("\"publish\":{\"count\":"), std::string::npos);
   EXPECT_NE(after.find("\"dirty_vertices_p50\":"), std::string::npos);
+  EXPECT_NE(after.find("\"publish_ns_p99\":"), std::string::npos);
 #if defined(TINPROV_METRICS_ENABLED)
+  EXPECT_GT(JsonField(after, "publish_ns_p50"), 0u);
+  // The ring still reaches some replaced answers after the drain.
+  EXPECT_GT(JsonField(after, "memory.serve_retired_answer_bytes"), 0u);
   EXPECT_EQ(JsonField(after, "count") - JsonField(before, "count"),
             (*service)->LatestEpoch().seq);
   const uint64_t snapshots = JsonField(after, "snapshots_taken") -
