@@ -41,7 +41,8 @@ struct ReplayStats {
 };
 
 /// Number of interactions with timestamp <= t — the historical replay
-/// prefix shared by the lazy engine and the time-travel index.
+/// prefix the lazy engine replays (History::View::UpperBound is its
+/// counterpart over a retained log).
 size_t PrefixLength(const Tin& tin, Timestamp t);
 
 /// Indices (into tin.interactions(), ascending and therefore in time

@@ -249,7 +249,7 @@ class MetricsRegistry {
 
   /// Engine-wide bytes: the sum of every gauge whose name starts with
   /// "memory." — the one call that unifies tracker MemoryUsage(),
-  /// pool/arena reservations, time-travel snapshot state, and ingest
+  /// pool/arena reservations, serve's retained history, and ingest
   /// buffering, each kept current by its layer's sampling points.
   double MemoryBytes() const;
 

@@ -125,7 +125,7 @@ class Tracker {
   /// its only contract is that RestoreState() on a tracker constructed
   /// with an identical configuration — same policy, same parameters,
   /// same vertex count — resumes replay bit-exactly where the snapshot
-  /// was taken. The lazy/ time-travel index builds on this.
+  /// was taken. lazy/history.h's restore-and-replay builds on this.
   void SaveState(std::vector<uint8_t>* out) const;
 
   /// Restores state produced by SaveState(). Returns InvalidArgument on
@@ -166,7 +166,7 @@ std::unique_ptr<Tracker> CreateTracker(PolicyKind kind, size_t num_vertices);
 
 /// Builds a fresh, identically configured tracker on every call. The
 /// lazy/ layer constructs one tracker per query (replay-on-demand) and
-/// one per snapshot restore (time travel), so configuration capture —
+/// one per snapshot restore (History), so configuration capture —
 /// policy, scalable parameters, selection preprocessing — lives in the
 /// closure, not in the engine.
 using TrackerFactory = std::function<std::unique_ptr<Tracker>()>;

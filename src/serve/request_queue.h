@@ -46,7 +46,7 @@ struct EpochInfo {
 
 enum class QueryKind {
   kProvenance,    // Provenance(v) at the latest epoch
-  kProvenanceAt,  // Provenance(v, t) — historical, time-travel routed
+  kProvenanceAt,  // Provenance(v, t) — historical: ring epoch or History
   kTopOrigins,    // top-k origins of v's buffer by quantity
 };
 

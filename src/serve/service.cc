@@ -11,7 +11,6 @@
 #include <string>
 #include <utility>
 
-#include "lazy/time_travel.h"
 #include "obs/health.h"
 #include "obs/http.h"
 #include "obs/metrics.h"
@@ -25,11 +24,6 @@
 namespace tinprov {
 
 namespace {
-
-/// Fixed log-chunk capacity. Chunks are reserved once and never
-/// reallocate, so a published view's chunk pointers stay valid while
-/// the writer fills later slots of the newest chunk.
-constexpr size_t kChunkCapacity = 4096;
 
 bool TopOriginOrder(const ProvPair& a, const ProvPair& b) {
   if (a.quantity != b.quantity) return a.quantity > b.quantity;
@@ -266,44 +260,18 @@ struct ProvenanceService::EpochView {
   /// present (epoch 0 is published before any reader exists).
   std::vector<std::shared_ptr<const Epoch>> ring;
 
-  /// Chunked log: entries [0, ring.back()->info.prefix) are valid —
-  /// written before this view's release-store. Empty when history
-  /// retention is off.
-  std::vector<std::shared_ptr<std::vector<Interaction>>> chunks;
-
-  /// Retained SaveState images, ascending by prefix, for
-  /// nearest-snapshot + delta-replay historical queries: the recovered
-  /// ones (see Init), then one per snapshot the log-volume rule cut
-  /// (ProvenanceService::SnapshotDue). Empty when retention is off;
-  /// below the first, replay starts from a fresh tracker.
-  std::vector<StateSnapshot> snapshots;
+  /// The retained history as of this publish: the log through
+  /// ring.back()->info.prefix and the snapshots cut so far, for
+  /// nearest-snapshot + delta-replay historical queries. Empty when
+  /// history retention is off.
+  History::View history;
 
   const Epoch& Latest() const { return *ring.back(); }
-
-  const Interaction& LogAt(size_t i) const {
-    return chunks[i / kChunkCapacity]->data()[i % kChunkCapacity];
-  }
-
-  /// Count of logged interactions with timestamp <= t, searching only
-  /// the published prefix.
-  size_t UpperBound(Timestamp t) const {
-    size_t lo = 0;
-    size_t hi = Latest().info.prefix;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (LogAt(mid).t <= t) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
 };
 
 /// Tee stream the writer wraps its source in: every pulled interaction
-/// is appended to the service's chunked log before the ingestor sees
-/// it, so the published log prefix always covers the applied prefix.
+/// is appended to the service's history before the ingestor sees it,
+/// so the published log prefix always covers the applied prefix.
 class ProvenanceService::LogSink : public InteractionStream {
  public:
   LogSink(ProvenanceService* service, InteractionStream* inner)
@@ -363,6 +331,7 @@ ProvenanceService::ProvenanceService(ShardedSpec spec,
     : spec_(std::move(spec)),
       stats_(stats),
       options_(options),
+      history_(options.retain_history),
       answers_(std::make_unique<AnswerStore>()) {
   if (options_.epoch_interval == 0) options_.epoch_interval = 1;
   if (options_.ring_size == 0) options_.ring_size = 1;
@@ -408,8 +377,6 @@ Status ProvenanceService::Init(storage::RecoveredState recovered) {
   // recovered one, and the recovered state is the last snapshot so far.
   prefix_base_ = recovered.prefix;
   resume_watermark_ = recovered.watermark;
-  snapshot_prefix_ = recovered.prefix;
-  snapshot_image_bytes_ = state->size();
 
   // Epoch 0: the pre-ingest state, published before any reader or the
   // writer exists, so latest_ is never null and plain stores suffice.
@@ -430,21 +397,11 @@ Status ProvenanceService::Init(storage::RecoveredState recovered) {
   // at its global positions, the on-disk snapshots (cut by the same
   // log-volume rule, so the ones the crashed service held) and the
   // recovered state itself.
+  history_.Seed(recovered.log, std::move(recovered.snapshots),
+                {recovered.prefix, std::move(state)});
   auto view = std::make_shared<EpochView>();
   view->ring.push_back(std::move(epoch));
-  if (options_.retain_history) {
-    for (const Interaction& interaction : recovered.log) Retain(interaction);
-    view->chunks = chunks_;
-    view->snapshots = std::move(recovered.snapshots);
-    if (recovered.prefix > 0 && (view->snapshots.empty() ||
-                                 view->snapshots.back().prefix <
-                                     recovered.prefix)) {
-      view->snapshots.push_back({recovered.prefix, std::move(state)});
-    }
-    for (const StateSnapshot& snapshot : view->snapshots) {
-      snapshot_bytes_ += snapshot.state->size();
-    }
-  }
+  view->history = history_.Publish();
   latest_ = std::move(view);
   last_publish_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   return Status::Ok();
@@ -460,23 +417,7 @@ void ProvenanceService::AppendLog(const Interaction& interaction) {
       changed_.push_back(v);
     }
   }
-  if (options_.retain_history) Retain(interaction);
-}
-
-void ProvenanceService::Retain(const Interaction& interaction) {
-  if (chunks_.empty() || chunks_.back()->size() == kChunkCapacity) {
-    auto chunk = std::make_shared<std::vector<Interaction>>();
-    chunk->reserve(kChunkCapacity);
-    chunks_.push_back(std::move(chunk));
-  }
-  chunks_.back()->push_back(interaction);
-  ++log_size_;
-}
-
-bool ProvenanceService::SnapshotDue(size_t prefix) const {
-  if (!options_.retain_history && durable_ == nullptr) return false;
-  return (prefix - snapshot_prefix_) * sizeof(Interaction) >=
-         snapshot_image_bytes_;
+  history_.Append(interaction);
 }
 
 Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
@@ -517,20 +458,15 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   while (view->ring.size() > options_.ring_size) {
     view->ring.erase(view->ring.begin());
   }
-  view->chunks = chunks_;
-  view->snapshots = prev->snapshots;
   std::shared_ptr<std::vector<uint8_t>> image;
-  if (SnapshotDue(prefix)) {
+  if ((options_.retain_history || durable_ != nullptr) &&
+      history_.SnapshotDue(prefix)) {
     image = std::make_shared<std::vector<uint8_t>>();
     live_tracker_->SaveState(image.get());
-    snapshot_prefix_ = prefix;
-    snapshot_image_bytes_ = image->size();
+    history_.Cut(prefix, image);
     TINPROV_COUNTER_ADD("serve.snapshots_taken", 1);
-    if (options_.retain_history) {
-      view->snapshots.push_back({prefix, image});
-      snapshot_bytes_ += image->size();
-    }
   }
+  view->history = history_.Publish();
   std::atomic_store_explicit(&latest_,
                              std::shared_ptr<const EpochView>(std::move(view)),
                              std::memory_order_release);
@@ -546,8 +482,6 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   last_publish_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   TINPROV_GAUGE_SET("serve.epoch_seq", next_seq_ - 1);
   TINPROV_GAUGE_SET("serve.epoch_prefix", prefix);
-  TINPROV_GAUGE_SET("memory.serve_log_bytes", log_size_ * sizeof(Interaction));
-  TINPROV_GAUGE_SET("memory.serve_snapshot_bytes", snapshot_bytes_);
 
   // Snapshot taken → persisted at its log position.
   // WriteSnapshot syncs the segment log first, so a snapshot on disk is
@@ -789,7 +723,7 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
   // prefix, i.e. the latest epoch itself — the fast path.
   const size_t target =
       options_.retain_history
-          ? view->UpperBound(t)
+          ? view->history.UpperBound(t)
           : (t >= latest.info.watermark ? latest.info.prefix
                                         : latest.info.prefix + 1);
   if (target == latest.info.prefix) {
@@ -818,10 +752,7 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
   TINPROV_COUNTER_ADD("serve.historical_replays", 1);
   TINPROV_SCOPED_LATENCY_NS("serve.historical_replay_ns");
   size_t replayed = 0;
-  auto tracker = RestoreAndReplay(
-      spec_.sequential, view->snapshots, target,
-      [&view](size_t i) -> const Interaction& { return view->LogAt(i); },
-      &replayed);
+  auto tracker = view->history.Replay(spec_.sequential, target, &replayed);
   if (!tracker.ok()) {
     result.status = tracker.status();
     return result;

@@ -28,14 +28,12 @@
 //     lock-free: libstdc++ implements them with a small internal mutex
 //     pool, held for the pointer copy only. An EpochView is immutable
 //     after publication; pinning it keeps every state it references —
-//     the ring of recent answer tables, the log chunks, the snapshot
-//     byte images — alive for the duration of the query, however far
-//     the writer advances meanwhile.
-//   - The log is chunked and append-only: fixed-capacity chunks whose
-//     backing arrays never move, so a published view's chunk pointers
-//     stay valid while the writer fills later slots. Readers only read
-//     entries below their pinned view's prefix, all written before the
-//     view's release-store — no torn reads, TSan-clean.
+//     the ring of recent answer tables, the published History::View
+//     (lazy/history.h) of the log chunks and snapshot byte images —
+//     alive for the duration of the query, however far the writer
+//     advances meanwhile. Readers only read log entries below their
+//     pinned view's size, all written before the view's release-store —
+//     no torn reads, TSan-clean.
 //   - Answers are reclaimed by epoch (Fraser, "Practical lock-freedom",
 //     2004; McKenney's RCU). The writer alone allocates and frees them
 //     (the destructor frees those the newest table still holds).
@@ -48,23 +46,17 @@
 //     retired answer no live table's seq falls within. A reader that
 //     pins an old view therefore keeps exactly the answers that view
 //     reaches (memory.serve_retired_answer_bytes), and never frees one.
-//   - Writer-side state (live tracker, changed-vertex set, chunk list,
-//     snapshot bookkeeping) is touched only by the writer thread.
+//   - Writer-side state (live tracker, changed-vertex set, the History
+//     itself) is touched only by the writer thread.
 //
-// Snapshots (the retained history images and, with durability on, the
-// snap-*.snap files) are SaveState images cut at an epoch publish by
-// one fixed rule: once the interactions applied since the last
-// snapshot, at sizeof(Interaction) each, reach that snapshot's byte
-// size. All snapshots together therefore stay within the log's bytes
-// plus one image, however large the state.
-//
-// The service keeps one history: its retained log and snapshots. A
-// durable restart seeds it from recovery — the trusted log at its
-// global positions, every valid snap-*.snap (the images the crashed
-// service held, since the same rule cut them) and the recovered state
-// — so epoch prefixes are global log positions, historical queries
-// reach behind the restart, and the restart replays only the log tail
-// past the newest snapshot.
+// The service keeps one History: its retained log and the snapshots
+// its log-volume rule cuts at epoch publishes (with durability on, each
+// also becomes a snap-*.snap file). A durable restart seeds it from
+// recovery — the trusted log at its global positions, every valid
+// snap-*.snap (the images the crashed service held, since the same rule
+// cut them) and the recovered state — so epoch prefixes are global log
+// positions, historical queries reach behind the restart, and the
+// restart replays only the log tail past the newest snapshot.
 //
 // Consistency guarantees:
 //   - Provenance(v) / TopOrigins(v, k) answer from the newest published
@@ -76,7 +68,7 @@
 //   - Provenance(v, t) is exact for any t at or below the pinned
 //     epoch's watermark: resolved from a ring epoch when one matches,
 //     otherwise nearest retained snapshot + delta replay of the pinned
-//     log (RestoreAndReplay, lazy/time_travel.h). For t beyond the
+//     log (History::View::Replay, lazy/history.h). For t beyond the
 //     watermark the answer is the epoch state — complete through the
 //     watermark, with EpochInfo reporting the gap. With retain_history
 //     off there is no log to find t's exact prefix in (timestamps may
@@ -99,6 +91,7 @@
 #include "core/buffer.h"
 #include "core/tin.h"
 #include "core/types.h"
+#include "lazy/history.h"
 #include "parallel/sharded_replay.h"
 #include "serve/request_queue.h"
 #include "storage/durable_log.h"
@@ -344,25 +337,19 @@ class ProvenanceService {
   Status RunIngest();
 
   /// Writer (via LogSink): marks the pulled interaction's endpoints as
-  /// changed and retains it (when history retention is on).
+  /// changed and appends it to the history.
   void AppendLog(const Interaction& interaction);
 
-  /// Writer: appends to the chunked log.
-  void Retain(const Interaction& interaction);
-
   /// Writer: publishes the current live-tracker state as a new epoch,
-  /// re-reading only the changed vertices, and cuts a snapshot when
-  /// SnapshotDue(prefix).
+  /// re-reading only the changed vertices, and cuts a snapshot when the
+  /// history's log-volume rule says one is due (and snapshots are kept
+  /// at all: with history retention or durability on).
   Status PublishEpoch(size_t prefix, Timestamp watermark);
 
   /// Writer: frees the answers no live table reaches any more and
   /// publishes the bytes still awaiting reclamation
   /// (memory.serve_retired_answer_bytes).
   void ReclaimAnswers();
-
-  /// Writer: the log-volume snapshot rule (see the file comment), when
-  /// history retention or durability keeps snapshots at all.
-  bool SnapshotDue(size_t prefix) const;
 
   /// Reader: pins the newest view.
   std::shared_ptr<const EpochView> PinView() const {
@@ -391,24 +378,20 @@ class ProvenanceService {
   /// by the writer thread; other threads observe it through the
   /// storage.* gauges only.
   std::unique_ptr<storage::DurableLog> durable_;
-  class LogSink;  // service.cc: tee stream appending into the chunked log
-  std::vector<std::shared_ptr<std::vector<Interaction>>> chunks_;
-  size_t log_size_ = 0;
+  class LogSink;  // service.cc: tee stream appending into history_
+  /// The retained log and snapshots (empty with retain_history off,
+  /// when it only runs the snapshot rule).
+  History history_;
   /// Interactions applied before the writer's own ingest begins — the
   /// recovered prefix plus Catchup()'s count. Epoch prefixes offset by
   /// it, so they are global log positions indexing the retained log.
   size_t prefix_base_ = 0;
-  size_t snapshot_bytes_ = 0;  // running total of retained byte images
   /// Vertices changed since the last publish (each once: changed_mark_
   /// flags membership, indexed by vertex).
   std::vector<VertexId> changed_;
   std::vector<uint8_t> changed_mark_;
   /// live_tracker_->WideChanges() as of the last publish.
   uint64_t published_wide_changes_ = 0;
-  /// Prefix and SaveState byte size of the last snapshot (the initial
-  /// or recovered state until the rule cuts one).
-  size_t snapshot_prefix_ = 0;
-  size_t snapshot_image_bytes_ = 0;
   uint64_t next_seq_ = 0;
   Stopwatch since_publish_;  // serve.epoch_age_ns at publish time
 

@@ -52,7 +52,7 @@ inline constexpr size_t kRecordHeaderBytes = 4 + 4 + 1;
 inline constexpr size_t kInteractionWireBytes = 4 + 4 + 8 + 8;
 
 /// Per-segment vertex/time bounds — the zone map that lets a reader
-/// (influence cones, prefix replay, time travel) skip whole segments
+/// (influence cones, prefix replay, historical queries) skip whole segments
 /// whose [min_t, max_t] or vertex range cannot intersect its query.
 struct SegmentZoneMap {
   uint64_t num_records = 0;       // data records, excluding the footer

@@ -100,7 +100,7 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
   }
 
   size_t replayed = 0;
-  auto tracker = RestoreAndReplay(
+  auto tracker = History::RestoreAndReplay(
       factory, out.snapshots, static_cast<size_t>(out.prefix),
       [&out](size_t i) -> const Interaction& { return out.log[i]; },
       &replayed);
@@ -121,22 +121,27 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
   return out;
 }
 
-StatusOr<std::shared_ptr<const TimeTravelIndex>> BuildRecoveredIndex(
-    const RecoveredState& recovered, size_t num_vertices,
+StatusOr<std::shared_ptr<const History>> BuildRecoveredIndex(
+    const RecoveredState& recovered, size_t /*num_vertices*/,
     const TrackerFactory& factory, size_t snapshot_interval) {
-  if (recovered.log.empty()) {
-    return std::shared_ptr<const TimeTravelIndex>();
+  if (recovered.log.empty()) return std::shared_ptr<const History>();
+  const size_t interval = std::max<size_t>(snapshot_interval, 1);
+  std::unique_ptr<Tracker> tracker = factory();
+  if (tracker == nullptr) {
+    return Status::Internal("tracker factory returned null");
   }
-  auto index =
-      TimeTravelIndex::NewStreaming(num_vertices, factory, snapshot_interval);
-  if (!index.ok()) return index.status();
+  auto history = std::make_shared<History>();
   for (const Interaction& interaction : recovered.log) {
-    const Status status = (*index)->Observe(interaction);
+    const Status status = tracker->Process(interaction);
     if (!status.ok()) return status;
+    history->Append(interaction);
+    if (history->size() % interval == 0) {
+      auto image = std::make_shared<std::vector<uint8_t>>();
+      tracker->SaveState(image.get());
+      history->Cut(history->size(), std::move(image));
+    }
   }
-  const Status status = (*index)->Finalize();
-  if (!status.ok()) return status;
-  return std::shared_ptr<const TimeTravelIndex>(std::move(*index));
+  return std::shared_ptr<const History>(std::move(history));
 }
 
 }  // namespace tinprov::storage

@@ -19,7 +19,7 @@
 //      not correctness; a snapshot claiming a prefix the log cannot
 //      back is ignored the same way).
 //   3. The newest of them is restored and the log tail past it replayed
-//      (RestoreAndReplay, lazy/time_travel.h).
+//      (History::RestoreAndReplay, lazy/history.h).
 // The result equals Tracker::Process over trusted[0, prefix) on a fresh
 // tracker — the SaveState/RestoreState bit-exact-resume contract makes
 // the snapshot shortcut invisible. The crash test (test_storage /
@@ -31,12 +31,13 @@
 #define TINPROV_STORAGE_RECOVERY_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/types.h"
-#include "lazy/time_travel.h"
+#include "lazy/history.h"
 #include "policies/tracker.h"
 #include "storage/env.h"
 #include "util/status.h"
@@ -100,11 +101,13 @@ class RecoveryManager {
   std::string dir_;
 };
 
-/// Builds a finalized TimeTravelIndex over the recovered log, so a
-/// restarted service answers pre-crash historical queries exactly as
-/// the crashed one would have. Returns null when the log is empty (no
-/// history to index — serve then starts fresh).
-StatusOr<std::shared_ptr<const TimeTravelIndex>> BuildRecoveredIndex(
+/// A History over the recovered log, with a snapshot replayed and cut
+/// every max(snapshot_interval, 1) interactions; null when the log is
+/// empty. `num_vertices` is unused. No restart runs this: it exists
+/// only for perfbench's lazy.index_build_s probe, until that probe is
+/// repointed at the history seed a restarted ProvenanceService runs
+/// (ROADMAP item 1).
+StatusOr<std::shared_ptr<const History>> BuildRecoveredIndex(
     const RecoveredState& recovered, size_t num_vertices,
     const TrackerFactory& factory, size_t snapshot_interval);
 

@@ -1,7 +1,7 @@
 // Flat binary serialization for tracker snapshots.
 //
-// The time-travel index checkpoints tracker state every N interactions
-// and restores it on historical queries, so the format optimizes for
+// A History (lazy/history.h) keeps tracker snapshots and restores the
+// nearest one on every historical query, so the format optimizes for
 // write/restore speed over portability: little-endian host layout,
 // memcpy of trivially copyable values (padded tuple types go through
 // the field-wise helpers in core/buffer_io.h instead). Snapshots live

@@ -1,10 +1,10 @@
 // Lazy-layer semantics: replay-on-demand must be indistinguishable from
 // eager tracking. Full lazy replay is checked bit-exactly against every
 // factory-constructible tracker; sliced replay against full replay on
-// the query vertex; the time-travel index against full-prefix replay at
-// arbitrary historical times (snapshot boundaries and pre-history
-// included); and snapshot/restore must round-trip every policy's state
-// bit-exactly, byte-for-byte.
+// the query vertex; History's restore-and-replay against full-prefix
+// replay at arbitrary historical times (snapshot boundaries and
+// pre-history included); and snapshot/restore must round-trip every
+// policy's state bit-exactly, byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,13 +12,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "analytics/experiment.h"
 #include "datagen/generator.h"
+#include "lazy/history.h"
 #include "lazy/replay.h"
-#include "lazy/time_travel.h"
 #include "policies/tracker.h"
 
 namespace tinprov {
@@ -284,78 +285,125 @@ TEST(LazyEngineTest, FactoryBuildsIndependentTrackers) {
 }
 
 // ---------------------------------------------------------------------
-// (c) The time-travel index answers at arbitrary t identically to
-// full-prefix replay, for every factory name.
+// (c) A History answers at every prefix identically to full-prefix
+// replay, for every factory name, whichever rule cut its snapshots.
 
-class TimeTravelTest : public ::testing::TestWithParam<std::string> {};
+enum class CutRule { kEvery97, kLogVolume };
 
-TEST_P(TimeTravelTest, MatchesFullPrefixReplayEverywhere) {
-  const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  auto factory = TrackerRegistry::Global().Factory({GetParam(), params}, tin);
-  ASSERT_TRUE(factory.ok());
-  const size_t interval = 97;  // prime: boundaries align with nothing
-  auto index = TimeTravelIndex::Build(tin, *factory, interval);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_EQ((*index)->num_snapshots(), tin.num_interactions() / interval);
-  EXPECT_GT((*index)->MemoryUsage(), 0u);
-
-  // Probe before history (empty state), the first interaction, an exact
-  // snapshot boundary, one past a boundary, mid-stream, the full
-  // stream, and after history.
-  const auto& log = tin.interactions();
-  const std::vector<Timestamp> probes = {
-      log.front().t - 1.0, log.front().t, log[interval - 1].t,
-      log[3 * interval].t, log[log.size() / 2].t, log.back().t,
-      log.back().t + 1.0};
-  for (const Timestamp t : probes) {
-    const size_t prefix = PrefixLength(tin, t);
-    const auto eager = EagerPrefix(*factory, tin, prefix);
-    for (const VertexId v : {VertexId{0}, VertexId{23}, VertexId{59}}) {
-      auto buffer = (*index)->Provenance(v, t);
-      ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-      ExpectSameBuffer(eager->Provenance(v), *buffer,
-                       GetParam() + " t=" + std::to_string(t) + " vertex " +
-                           std::to_string(v));
+// Logs `tin` into a History beside a live tracker, cutting a snapshot
+// after every 97th interaction (prime: boundaries align with nothing)
+// or wherever serve's log-volume rule would, seeded like a fresh
+// service with the empty state as the last cut.
+History RecordHistory(const TrackerFactory& factory, const Tin& tin,
+                      CutRule rule) {
+  History history;
+  std::unique_ptr<Tracker> tracker = factory();
+  auto fresh = std::make_shared<std::vector<uint8_t>>();
+  tracker->SaveState(fresh.get());
+  history.Seed({}, {}, {0, std::move(fresh)});
+  for (const Interaction& interaction : tin.interactions()) {
+    EXPECT_TRUE(tracker->Process(interaction).ok());
+    history.Append(interaction);
+    const size_t prefix = history.size();
+    if (rule == CutRule::kEvery97 ? prefix % 97 == 0
+                                  : history.SnapshotDue(prefix)) {
+      auto image = std::make_shared<std::vector<uint8_t>>();
+      tracker->SaveState(image.get());
+      history.Cut(prefix, std::move(image));
     }
   }
+  return history;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllFactoryNames, TimeTravelTest,
-                         ::testing::ValuesIn(TrackerRegistry::Global().Names()),
-                         SanitizeName);
+class HistoryReplayTest
+    : public ::testing::TestWithParam<std::tuple<std::string, CutRule>> {};
 
-TEST(TimeTravelEdgeTest, ZeroIntervalClampsToOne) {
-  const Tin tin = HandTin();
-  auto index = TimeTravelIndex::Build(tin, PolicyKind::kFifo, 0);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->snapshot_interval(), 1u);
-  EXPECT_EQ((*index)->num_snapshots(), tin.num_interactions());
-}
-
-TEST(TimeTravelEdgeTest, IntervalBeyondStreamStillAnswersCorrectly) {
-  const Tin tin = HandTin();
-  auto index = TimeTravelIndex::Build(tin, PolicyKind::kMrb,
-                                      tin.num_interactions() * 2);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->num_snapshots(), 0u);
-  LazyReplayEngine lazy(tin, PolicyKind::kMrb);
-  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-    auto expected = lazy.Provenance(v, 4.0);
-    auto actual = (*index)->Provenance(v, 4.0);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(actual.ok());
-    ExpectSameBuffer(*expected, *actual, "vertex " + std::to_string(v));
+TEST_P(HistoryReplayTest, MatchesFullPrefixReplayEverywhere) {
+  const auto& [name, rule] = GetParam();
+  const Tin tin = GeneratedTin();
+  auto factory = TrackerRegistry::Global().Factory({name, TestParams()}, tin);
+  ASSERT_TRUE(factory.ok());
+  const History history = RecordHistory(*factory, tin, rule);
+  const History::View view = history.Publish();
+  const auto& log = tin.interactions();
+  ASSERT_EQ(view.size(), log.size());
+  const std::vector<StateSnapshot>& snapshots = view.snapshots();
+  ASSERT_GE(snapshots.size(), 2u) << name;
+  if (rule == CutRule::kEvery97) {
+    EXPECT_EQ(snapshots.size(), log.size() / 97);
   }
+
+  // Targets before history (empty state), inside the first delta, at
+  // and just past each snapshot, and at the end of the stream; then
+  // the prefixes of timestamps before, inside and after the log.
+  std::vector<size_t> targets = {0, 1, snapshots.front().prefix - 1,
+                                 log.size()};
+  for (const StateSnapshot& snapshot : snapshots) {
+    targets.push_back(snapshot.prefix);
+    targets.push_back(snapshot.prefix + 1);
+  }
+  for (const Timestamp t : {log.front().t - 1.0, log.front().t,
+                            log[log.size() / 2].t, log.back().t,
+                            log.back().t + 1.0}) {
+    EXPECT_EQ(view.UpperBound(t), PrefixLength(tin, t)) << "t=" << t;
+    targets.push_back(view.UpperBound(t));
+  }
+  std::sort(targets.begin(), targets.end());
+
+  // One eager tracker walks the targets in order.
+  std::unique_ptr<Tracker> eager = (*factory)();
+  size_t applied = 0;
+  for (const size_t target : targets) {
+    ASSERT_LE(target, log.size());
+    for (; applied < target; ++applied) {
+      ASSERT_TRUE(eager->Process(log[applied]).ok());
+    }
+    const std::string context = name + " target " + std::to_string(target);
+    size_t replayed = 0;
+    auto tracker = view.Replay(*factory, target, &replayed);
+    ASSERT_TRUE(tracker.ok()) << tracker.status().ToString();
+    // Replay starts at the newest snapshot at or below the target: a
+    // target on a snapshot replays nothing, and one below the first
+    // snapshot starts from a fresh tracker, replaying its whole prefix.
+    const auto newest = std::upper_bound(
+        snapshots.begin(), snapshots.end(), target,
+        [](size_t p, const StateSnapshot& s) { return p < s.prefix; });
+    const size_t start = newest == snapshots.begin() ? 0 : (newest - 1)->prefix;
+    EXPECT_EQ(replayed, target - start) << context;
+    std::vector<uint8_t> expected_state;
+    std::vector<uint8_t> actual_state;
+    eager->SaveState(&expected_state);
+    (*tracker)->SaveState(&actual_state);
+    EXPECT_EQ(expected_state, actual_state) << context;
+    for (const VertexId v : {VertexId{0}, VertexId{23}, VertexId{59}}) {
+      ExpectSameBuffer(eager->Provenance(v), (*tracker)->Provenance(v),
+                       context + " vertex " + std::to_string(v));
+    }
+  }
+
+  // Both ends of that rule, stated directly.
+  size_t replayed = 1;
+  ASSERT_TRUE(view.Replay(*factory, snapshots.back().prefix, &replayed).ok());
+  EXPECT_EQ(replayed, 0u) << name;
+  const size_t below_first = snapshots.front().prefix - 1;
+  ASSERT_TRUE(view.Replay(*factory, below_first, &replayed).ok());
+  EXPECT_EQ(replayed, below_first) << name;
 }
 
-TEST(TimeTravelEdgeTest, RejectsOutOfRangeVertices) {
-  const Tin tin = HandTin();
-  auto index = TimeTravelIndex::Build(tin, PolicyKind::kFifo, 2);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->Provenance(99, 3.0).status().code(),
-            StatusCode::kInvalidArgument);
+std::string HistoryReplayName(
+    const ::testing::TestParamInfo<std::tuple<std::string, CutRule>>& info) {
+  std::string name = std::get<0>(info.param);
+  name.erase(std::remove_if(name.begin(), name.end(), NotAlnum), name.end());
+  const bool every97 = std::get<1>(info.param) == CutRule::kEvery97;
+  return name + (every97 ? "_Every97" : "_LogVolume");
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFactoryNames, HistoryReplayTest,
+    ::testing::Combine(::testing::ValuesIn(TrackerRegistry::Global().Names()),
+                       ::testing::Values(CutRule::kEvery97,
+                                         CutRule::kLogVolume)),
+    HistoryReplayName);
 
 // ---------------------------------------------------------------------
 // (d) Snapshot/restore round-trips every policy's state bit-exactly.

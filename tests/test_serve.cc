@@ -1358,6 +1358,11 @@ TEST(ServeApiTest, ExecuteDispatchAndBoundsChecks) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*service)->Provenance(999, 1.0).status.code(),
             StatusCode::kInvalidArgument);
+  // A historical query is checked before it replays any history.
+  const Timestamp past = tin.interactions()[tin.num_interactions() / 3].t;
+  EXPECT_GT((*service)->Provenance(1, past).replayed_interactions, 0u);
+  EXPECT_EQ((*service)->Provenance(999, past).status.code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ((*service)->TopOrigins(999, 3).status.code(),
             StatusCode::kInvalidArgument);
 

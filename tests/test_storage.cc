@@ -1232,6 +1232,92 @@ TEST(ServeDurable, SnapshotBytesStayWithinLogBytesPlusOneSnapshot) {
   }
 }
 
+// A restart seeds the history gauges from recovery itself: before
+// Start() publishes anything, /statusz already reports the recovered
+// log and the snapshots the history kept (the on-disk ones plus the
+// recovered state).
+#if defined(TINPROV_METRICS_ENABLED)
+TEST(ServeDurable, RestartSeedsTheHistoryGauges) {
+  ScratchDir dir("serve_gauges");
+  const Tin tin = GeneratedTin(40, 3000, 23);
+  const TrackerSpec spec = StreamingSpec("FIFO");
+  const ServeOptions options = DurableServeOptions(dir.path(), nullptr);
+  {
+    auto service = ProvenanceService::Create(spec, tin.Stats(), options);
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE((*service)
+                    ->Start(std::make_unique<VectorStream>(
+                        tin.num_vertices(), tin.interactions()))
+                    .ok());
+    ASSERT_TRUE((*service)->WaitIngest().ok());
+  }
+
+  auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
+  ASSERT_TRUE(factory.ok());
+  const st::RecoveryManager manager(st::Env::Posix(), dir.path());
+  auto recovered = manager.Recover(*factory);
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_FALSE(recovered->snapshots.empty());
+  size_t snapshot_bytes = 0;
+  for (const StateSnapshot& snapshot : recovered->snapshots) {
+    snapshot_bytes += snapshot.state->size();
+  }
+  if (recovered->snapshots.back().prefix < recovered->prefix) {
+    snapshot_bytes += recovered->state.size();
+  }
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.GetGauge("memory.serve_log_bytes")->Set(0.0);
+  registry.GetGauge("memory.serve_snapshot_bytes")->Set(0.0);
+  auto service = ProvenanceService::Create(spec, tin.Stats(), options);
+  ASSERT_TRUE(service.ok());
+  EXPECT_EQ(registry.GetGauge("memory.serve_log_bytes")->Value(),
+            static_cast<double>(tin.num_interactions() * sizeof(Interaction)));
+  EXPECT_EQ(registry.GetGauge("memory.serve_snapshot_bytes")->Value(),
+            static_cast<double>(snapshot_bytes));
+}
+#endif  // TINPROV_METRICS_ENABLED
+
+// BuildRecoveredIndex replays the recovered log into a History, cutting
+// a snapshot every interval interactions, with 0 treated as 1.
+TEST(Recovery, RecoveredIndexClampsZeroIntervalToOne) {
+  ScratchDir dir("recovered_index");
+  const Tin tin = GeneratedTin(30, 500, 29);
+  const TrackerSpec spec = StreamingSpec("Prop-sparse");
+  auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
+  ASSERT_TRUE(factory.ok());
+  const st::RecoveryManager manager(st::Env::Posix(), dir.path());
+
+  auto empty = manager.Recover(*factory);
+  ASSERT_TRUE(empty.ok());
+  auto none = st::BuildRecoveredIndex(*empty, tin.num_vertices(), *factory, 0);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(*none, nullptr);
+
+  {
+    auto service = ProvenanceService::Create(
+        spec, tin.Stats(), DurableServeOptions(dir.path(), nullptr));
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE((*service)
+                    ->Start(std::make_unique<VectorStream>(
+                        tin.num_vertices(), tin.interactions()))
+                    .ok());
+    ASSERT_TRUE((*service)->WaitIngest().ok());
+  }
+  auto recovered = manager.Recover(*factory);
+  ASSERT_TRUE(recovered.ok());
+  ASSERT_EQ(recovered->log.size(), tin.num_interactions());
+  auto index =
+      st::BuildRecoveredIndex(*recovered, tin.num_vertices(), *factory, 0);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_NE(*index, nullptr);
+  EXPECT_EQ((*index)->size(), tin.num_interactions());
+  EXPECT_EQ((*index)->snapshots().size(), tin.num_interactions());
+
+  // The last snapshot is the recovered state itself.
+  EXPECT_EQ(*(*index)->snapshots().back().state, recovered->state);
+}
+
 TEST(ServeDurable, StatuszReportsDisabledWithoutADirectory) {
   const Tin tin = GeneratedTin(20, 300, 19);
   auto service = ProvenanceService::Create(StreamingSpec("FIFO"), tin.Stats(),

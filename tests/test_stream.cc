@@ -4,8 +4,8 @@
 // factory name; GeneratorStream against the materializing generator for
 // every Table-6 preset; SortingStream across its reorder-window edge
 // cases (empty stream, window smaller than the disorder, the exact
-// boundary); the streaming time-travel build against Build(); and the
-// sharded engine's ReplayStream against materialized Replay().
+// boundary); and the sharded engine's ReplayStream against
+// materialized Replay().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "analytics/experiment.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
-#include "lazy/time_travel.h"
 #include "parallel/sharded_replay.h"
 #include "policies/proportional_sparse.h"
 #include "policies/tracker.h"
@@ -374,108 +373,7 @@ TEST(ReserveHintTest, TinFormRoutesThroughStats) {
 }
 
 // ---------------------------------------------------------------------
-// (e) Streaming time-travel build == materialized Build().
-
-class StreamingTimeTravelTest : public ::testing::TestWithParam<std::string> {
-};
-
-TEST_P(StreamingTimeTravelTest, MatchesMaterializedBuild) {
-  const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  auto factory = TrackerRegistry::Global().Factory({GetParam(), params}, tin);
-  ASSERT_TRUE(factory.ok());
-  const size_t interval = 700;  // not a divisor of the stream length
-
-  auto built = TimeTravelIndex::Build(tin, *factory, interval);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-
-  auto streaming =
-      TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, interval);
-  ASSERT_TRUE(streaming.ok());
-  EXPECT_FALSE((*streaming)->finalized());
-  MaterializedStream arrivals(tin);
-  ASSERT_TRUE((*streaming)->ObserveStream(arrivals).ok());
-  ASSERT_TRUE((*streaming)->Finalize().ok());
-  EXPECT_TRUE((*streaming)->finalized());
-
-  EXPECT_EQ((*built)->num_snapshots(), (*streaming)->num_snapshots());
-  EXPECT_EQ((*streaming)->watermark(), tin.interactions().back().t);
-
-  const Timestamp end = tin.interactions().back().t;
-  const std::vector<Timestamp> probes = {
-      -1.0, 0.0, end * 0.25, end * 0.5, end * 0.9, end, end + 10.0};
-  for (const Timestamp t : probes) {
-    for (const VertexId v : {VertexId{0}, VertexId{17}, VertexId{59}}) {
-      auto expected = (*built)->Provenance(v, t);
-      auto actual = (*streaming)->Provenance(v, t);
-      ASSERT_TRUE(expected.ok());
-      ASSERT_TRUE(actual.ok());
-      ExpectSameBuffer(*expected, *actual,
-                       GetParam() + " t=" + std::to_string(t) + " v=" +
-                           std::to_string(v));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Names, StreamingTimeTravelTest,
-                         ::testing::Values("FIFO", "Prop-sparse", "Windowed"),
-                         SanitizeName);
-
-TEST(StreamingTimeTravelTest, LifecycleGuards) {
-  const Tin tin = GeneratedTin();
-  auto index = TimeTravelIndex::NewStreaming(
-      tin.num_vertices(),
-      [n = tin.num_vertices()] { return CreateTracker(PolicyKind::kFifo, n); },
-      100);
-  ASSERT_TRUE(index.ok());
-
-  // Querying before Finalize is a precondition failure.
-  EXPECT_EQ((*index)->Provenance(0, 1.0).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE((*index)->Observe(tin.interactions()[0]).ok());
-  // Out-of-order arrivals are rejected, not silently replayed.
-  Interaction early = tin.interactions()[0];
-  early.t -= 1.0;
-  EXPECT_EQ((*index)->Observe(early).code(), StatusCode::kInvalidArgument);
-
-  ASSERT_TRUE((*index)->Finalize().ok());
-  EXPECT_EQ((*index)->Observe(tin.interactions()[1]).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE((*index)->Provenance(0, 1.0).ok());
-}
-
-TEST(StreamingTimeTravelTest, BuildsFromGeneratorStream) {
-  const GeneratorConfig config = PresetConfig(DatasetKind::kTaxis, 0.05);
-  auto tin = Generate(config);
-  ASSERT_TRUE(tin.ok());
-  const TrackerFactory factory = [n = tin->num_vertices()] {
-    return CreateTracker(PolicyKind::kLifo, n);
-  };
-
-  auto built = TimeTravelIndex::Build(*tin, factory, 150);
-  ASSERT_TRUE(built.ok());
-
-  auto stream = GeneratorStream::Create(config);
-  ASSERT_TRUE(stream.ok());
-  auto streaming =
-      TimeTravelIndex::NewStreaming(config.num_vertices, factory, 150);
-  ASSERT_TRUE(streaming.ok());
-  ASSERT_TRUE((*streaming)->ObserveStream(*stream).ok());
-  ASSERT_TRUE((*streaming)->Finalize().ok());
-
-  const Timestamp end = tin->interactions().back().t;
-  for (const Timestamp t : {end * 0.3, end * 0.8, end}) {
-    auto expected = (*built)->Provenance(3, t);
-    auto actual = (*streaming)->Provenance(3, t);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(actual.ok());
-    ExpectSameBuffer(*expected, *actual, "generator-built index");
-  }
-}
-
-// ---------------------------------------------------------------------
-// (f) Sharded streaming replay == sharded materialized replay.
+// (e) Sharded streaming replay == sharded materialized replay.
 
 void ExpectSameResult(const ShardedReplayResult& expected,
                       const ShardedReplayResult& actual,
@@ -647,7 +545,7 @@ TEST(ShardedStreamTest, RejectsOutOfOrderStream) {
 }
 
 // ---------------------------------------------------------------------
-// (g) Streaming analytics entry points.
+// (f) Streaming analytics entry points.
 
 TEST(StreamAnalyticsTest, StreamFactoryRejectsUnknownNames) {
   auto factory = TrackerRegistry::Global().Factory(
