@@ -1,16 +1,13 @@
-// Parallel label-sharded pro-rata replay AND ingest throughput versus
-// thread count on the Table 6 presets. Not a paper experiment — the
-// paper's Section 8 names parallel provenance tracking as future work;
-// this harness measures the repo's realization of it: label-sharded
-// replay of a materialized log, broadcast to the shard workers
-// (src/parallel/sharded_replay.h), and
-// the bulk load of a stream into one full tracker that
-// ProvenanceService::Catchup runs (ShardedIngestEngine,
+// Label-sharded pro-rata ingest throughput versus thread count on the
+// Table 6 presets. Not a paper experiment — the paper's Section 8 names
+// parallel provenance tracking as future work; this harness measures
+// the repo's realization of it: the bulk load of a stream into one full
+// tracker that ProvenanceService::Catchup runs (ShardedIngestEngine,
 // src/parallel/sharded_ingest.h: label-sharded streaming replay into
-// the result tracker). Both are bit-identical to their sequential
-// counterparts by construction (tests/test_parallel.cc); the ingest
-// sweep also checks it here, comparing every row's SaveState bytes
-// with the sequential t1 row's, and exits 1 on a mismatch.
+// the result tracker). It is bit-identical to a sequential ingest by
+// construction (tests/test_parallel.cc), and the sweep also checks it
+// here, comparing every row's SaveState bytes with the sequential t1
+// row's, and exits 1 on a mismatch.
 //
 // Expected shape: the list-heavy networks (many interactions per
 // vertex, long provenance lists) scale best, because every shard still
@@ -20,12 +17,11 @@
 //
 // A row's thread count is its shard workers; every sharded row also
 // runs a producing thread that pulls the input and broadcasts it to
-// them. The
-// sweep is capped at std::thread::hardware_concurrency() - 1 workers so
-// the recorded JSON reflects real parallelism; TINPROV_THREADS
-// overrides the cap, and rows whose workers plus the producer exceed
-// the hardware width are annotated as oversubscribed (they exercise
-// the threading, not the machine).
+// them. The sweep is capped at std::thread::hardware_concurrency() - 1
+// workers so the recorded JSON reflects real parallelism;
+// TINPROV_THREADS overrides the cap, and rows whose workers plus the
+// producer exceed the hardware width are annotated as oversubscribed
+// (they exercise the threading, not the machine).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -35,11 +31,10 @@
 #include <utility>
 #include <vector>
 
-#include "analytics/experiment.h"
+#include "analytics/registry.h"
 #include "analytics/report.h"
 #include "bench_util.h"
 #include "parallel/sharded_ingest.h"
-#include "parallel/sharded_replay.h"
 #include "stream/interaction_stream.h"
 #include "util/memory.h"
 #include "util/strings.h"
@@ -95,8 +90,8 @@ std::string JsonSuffix(size_t threads) {
 
 int main() {
   const double scale = bench::GetScale();
-  bench::PrintHeader("Parallel replay + ingest",
-                     "Sharded pro-rata throughput vs threads");
+  bench::PrintHeader("Parallel ingest",
+                     "Label-sharded pro-rata ingest throughput vs threads");
   bench::JsonBenchReporter reporter("bench_parallel");
 
   const std::vector<size_t> thread_counts = ThreadSweep(MaxThreads());
@@ -114,42 +109,6 @@ int main() {
     std::printf("%s network (%zu vertices, %zu interactions):\n",
                 dataset_name.c_str(), tin.num_vertices(),
                 tin.num_interactions());
-
-    // --- Label-sharded replay sweep --------------------------------
-    TablePrinter replay_table({"threads", "time", "speedup", "inter/s",
-                               "memory", "path"});
-    double replay_baseline = 0.0;
-    for (const size_t threads : thread_counts) {
-      MeasureOptions options;
-      options.tin = &tin;
-      options.dense_memory_limit = bench::kDenseMemoryLimit;
-      options.parallel = true;
-      options.parallel_params.num_threads = threads;
-      auto m = MeasureTracker({"Prop-sparse", params}, options);
-      if (!m.ok()) {
-        std::fprintf(stderr, "replay measurement failed: %s\n",
-                     m.status().ToString().c_str());
-        return 1;
-      }
-      if (threads == 1) replay_baseline = m->seconds;
-      const double rate =
-          m->seconds > 0.0
-              ? static_cast<double>(tin.num_interactions()) / m->seconds
-              : 0.0;
-      std::string speedup = "-";
-      if (m->seconds > 0.0) {
-        speedup = FormatCompact(replay_baseline / m->seconds, 2) + "x";
-      }
-      replay_table.AddRow({ThreadLabel(threads), FormatSeconds(m->seconds),
-                           speedup, FormatCompact(rate, 2),
-                           FormatBytes(m->peak_memory),
-                           m->parallel ? "sharded" : "sequential"});
-      reporter.Record(
-          dataset_name + "/Prop-sparse/replay" + JsonSuffix(threads),
-          m->seconds, rate, m->peak_memory);
-    }
-    std::printf("replay (label-sharded):\n%s\n",
-                replay_table.ToString().c_str());
 
     // --- Label-sharded ingest sweep --------------------------------
     // Same stream each round; the engine runs a sequential
@@ -215,8 +174,8 @@ int main() {
   std::printf(
       "Expected shape: list-heavy networks (Flights, Taxis) scale best; "
       "every shard\nscans the whole stream, so sparse short-list networks "
-      "gain less. Replay and\ningest are bit-identical to their "
-      "sequential counterparts at any thread count\n(tests/test_parallel.cc "
-      "proves it; the ingest rows were checked above).\n");
+      "gain less. Ingest is\nbit-identical to its sequential counterpart "
+      "at any thread count\n(tests/test_parallel.cc proves it; the rows "
+      "were checked above).\n");
   return 0;
 }

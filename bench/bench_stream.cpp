@@ -9,14 +9,15 @@
 // Three paths per dataset, all Prop-sparse:
 //   materialized       generate a Tin, then MeasureTracker over it
 //   streaming          GeneratorStream -> StreamIngestor (micro-batches)
-//   streaming+sharded  GeneratorStream -> ShardedReplayEngine::ReplayStream
-//                      (bounded broadcast queue; sequential fallback on
-//                      machines of 2 CPUs or fewer, which resolve to one
-//                      worker beside the producer)
+//   streaming+sharded  GeneratorStream -> ShardedIngestEngine::IngestStream
+//                      (bounded broadcast queue to label shards;
+//                      sequential arm on machines of 2 CPUs or fewer,
+//                      which resolve to one worker beside the producer)
 //
-// The run fails (non-zero exit) if the streaming pipeline's peak
-// buffering is not independent of the stream length — the acceptance
-// bar for streaming ingestion.
+// The run fails (non-zero exit) if the sharded row's tracker differs
+// from the streaming row's in a single SaveState byte, or if the
+// streaming pipeline's peak buffering is not independent of the stream
+// length — the acceptance bar for streaming ingestion.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -27,7 +28,7 @@
 #include "analytics/experiment.h"
 #include "analytics/report.h"
 #include "bench_util.h"
-#include "parallel/sharded_replay.h"
+#include "parallel/sharded_ingest.h"
 #include "stream/ingest.h"
 #include "stream/interaction_stream.h"
 #include "util/memory.h"
@@ -80,15 +81,20 @@ int main() {
     }
 
     // Streaming: interactions flow straight from the generator into the
-    // tracker; the only stream-side buffer is the micro-batch.
+    // tracker; the only stream-side buffer is the micro-batch. Its
+    // tracker is the reference the sharded row must reproduce.
+    const TrackerSpec spec{"Prop-sparse", params, TrackerMode::kStreaming};
+    const DatasetStats stats{config.num_vertices, config.num_interactions};
+    auto reference = TrackerRegistry::Global().Create(spec, stats);
+    if (!reference.ok()) {
+      std::fprintf(stderr, "tracker failed: %s\n",
+                   reference.status().ToString().c_str());
+      return 1;
+    }
     GeneratorStream stream = MustMakeStream(config);
     IngestStats ingest;
-    MeasureOptions streaming_options;
-    streaming_options.stream = &stream;
-    streaming_options.dense_memory_limit = bench::kDenseMemoryLimit;
-    streaming_options.ingest_stats = &ingest;
-    auto streaming = MeasureTracker(
-        {"Prop-sparse", params, TrackerMode::kStreaming}, streaming_options);
+    auto streaming =
+        MeasureStreamRun(reference->get(), stream, spec.name, &ingest);
     if (!streaming.ok()) {
       std::fprintf(stderr, "streaming measurement failed: %s\n",
                    streaming.status().ToString().c_str());
@@ -97,25 +103,32 @@ int main() {
 
     // Streaming + sharded: the same stream fanned out to label shards
     // through the bounded broadcast queue.
-    auto spec = TrackerRegistry::Global().Sharded(
-        {"Prop-sparse", params, TrackerMode::kStreaming},
-        DatasetStats{config.num_vertices, config.num_interactions});
-    if (!spec.ok()) {
+    auto sharded_spec = TrackerRegistry::Global().Sharded(spec, stats);
+    if (!sharded_spec.ok()) {
       std::fprintf(stderr, "spec failed: %s\n",
-                   spec.status().ToString().c_str());
+                   sharded_spec.status().ToString().c_str());
       return 1;
     }
     ParallelParams parallel;  // nproc - 1 workers, one shard each
-    ShardedReplayEngine engine(
-        DatasetStats{config.num_vertices, config.num_interactions},
-        *std::move(spec), parallel);
+    ShardedIngestEngine engine(stats, *std::move(sharded_spec), parallel);
     GeneratorStream sharded_stream = MustMakeStream(config);
-    auto sharded = engine.ReplayStream(sharded_stream);
+    auto sharded = engine.IngestStream(sharded_stream);
     if (!sharded.ok()) {
-      std::fprintf(stderr, "sharded streaming replay failed: %s\n",
+      std::fprintf(stderr, "sharded streaming ingest failed: %s\n",
                    sharded.status().ToString().c_str());
       return 1;
     }
+    std::vector<uint8_t> expected_state, sharded_state;
+    (*reference)->SaveState(&expected_state);
+    sharded->tracker->SaveState(&sharded_state);
+    if (sharded_state != expected_state) {
+      std::fprintf(stderr,
+                   "FAIL: %s sharded ingest: SaveState bytes differ from "
+                   "the streaming row's\n",
+                   name.c_str());
+      return 1;
+    }
+    const double sharded_seconds = sharded->stats.seconds;
 
     std::printf("\n%s network (%zu vertices, %zu interactions):\n",
                 name.c_str(), config.num_vertices, config.num_interactions);
@@ -139,13 +152,16 @@ int main() {
     const unsigned hw = std::thread::hardware_concurrency();
     const bool oversubscribed =
         hw != 0 && sharded->num_threads + 1 > static_cast<size_t>(hw);
+    const size_t sharded_buffer =
+        sharded->used_parallel_path
+            ? (parallel.stream_queue_chunks + sharded->num_threads) *
+                  parallel.stream_chunk
+            : sharded->stats.peak_batch;
     table.AddRow(
-        {"streaming+sharded", FormatSeconds(sharded->replay_seconds),
-         FormatCompact(rate_base / std::max(sharded->replay_seconds, 1e-12),
-                       2),
-         FormatBytes((parallel.stream_queue_chunks + sharded->num_threads) *
-                     parallel.stream_chunk * sizeof(Interaction)),
-         FormatBytes(sharded->num_entries * sizeof(ProvPair)),
+        {"streaming+sharded", FormatSeconds(sharded_seconds),
+         FormatCompact(rate_base / std::max(sharded_seconds, 1e-12), 2),
+         FormatBytes(sharded_buffer * sizeof(Interaction)),
+         FormatBytes(sharded->stats.tracker_peak_memory),
          sharded->used_parallel_path
              ? std::to_string(sharded->num_shards) + " shards / " +
                    std::to_string(sharded->num_threads) + " threads" +
@@ -160,10 +176,9 @@ int main() {
     reporter.Record(name + "/Prop-sparse/streaming", streaming->seconds,
                     rate_base / std::max(streaming->seconds, 1e-12),
                     streaming->peak_memory);
-    reporter.Record(name + "/Prop-sparse/streaming_sharded",
-                    sharded->replay_seconds,
-                    rate_base / std::max(sharded->replay_seconds, 1e-12),
-                    sharded->num_entries * sizeof(ProvPair));
+    reporter.Record(name + "/Prop-sparse/streaming_sharded", sharded_seconds,
+                    rate_base / std::max(sharded_seconds, 1e-12),
+                    sharded->stats.tracker_peak_memory);
   }
 
   // Acceptance check: streaming-side buffering must be independent of
@@ -215,7 +230,8 @@ int main() {
       "(same\nper-interaction work, no log materialization) while its "
       "pipeline buffer stays\na constant micro-batch; sharded streaming "
       "adds the parallel list-work split\non multi-core machines. Results "
-      "are bit-identical on every path\n(tests/test_stream.cc proves "
-      "it).\n");
+      "are bit-identical on every path\n(tests/test_stream.cc and "
+      "tests/test_parallel.cc prove it; the sharded rows\nwere checked "
+      "above).\n");
   return 0;
 }

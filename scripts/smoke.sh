@@ -221,8 +221,9 @@ names = {e["name"] for e in events}
 assert events, "trace file has no events"
 assert "ingest.batch" in names, f"no ingest span in {sorted(names)}"
 if (os.cpu_count() or 1) > 2:
-    # bench_stream's streaming ReplayStream: one span per worker, plus
-    # the exchange that interleaves their label slices.
+    # bench_stream's sharded ingest (ShardedIngestEngine::IngestStream):
+    # one span per worker, plus the exchange that interleaves their label
+    # slices.
     assert "replay.worker" in names, f"no worker span in {sorted(names)}"
     assert "replay.exchange" in names, f"no exchange span in {sorted(names)}"
 print(f"    OK ({len(events)} events, {len(names)} span names)")

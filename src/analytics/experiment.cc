@@ -112,31 +112,6 @@ StatusOr<Measurement> MeasureTracker(const TrackerSpec& spec,
   }
 
   const Tin& tin = *options.tin;
-  if (options.parallel) {
-    auto sharded = registry.Sharded(spec, tin);
-    if (!sharded.ok()) return sharded.status();
-    const bool decomposable = sharded->decomposable;
-    ShardedReplayEngine engine(tin, *std::move(sharded),
-                               options.parallel_params);
-    if (decomposable && engine.ResolvedThreads() > 1) {
-      auto result = engine.Replay();
-      if (!result.ok()) return result.status();
-      Measurement measurement;
-      // replay_seconds excludes the exchange/materialization phase,
-      // making this number comparable to MeasureRun's Process()-loop
-      // timing: a sequential tracker needs no exchange to become
-      // queryable, and neither do the shard trackers (QueryPrefix
-      // interleaves on demand).
-      measurement.seconds = result->replay_seconds;
-      measurement.peak_memory = result->num_entries * sizeof(ProvPair) +
-                                tin.num_vertices() * sizeof(double);
-      measurement.parallel = result->used_parallel_path;
-      return measurement;
-    }
-    // Non-decomposable or single-threaded: fall through to the classic
-    // path, which measures the same replay and additionally samples the
-    // in-run memory peak.
-  }
   auto tracker = registry.Create(spec, tin);
   if (!tracker.ok()) return tracker.status();
   return MeasureRun(tracker->get(), tin, spec.name);

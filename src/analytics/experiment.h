@@ -16,7 +16,6 @@
 
 #include "analytics/registry.h"
 #include "core/tin.h"
-#include "parallel/sharded_replay.h"
 #include "policies/tracker.h"
 #include "stream/ingest.h"
 #include "util/status.h"
@@ -27,7 +26,6 @@ struct Measurement {
   double seconds = 0.0;
   size_t peak_memory = 0;  // peak Tracker::MemoryUsage() during replay
   bool feasible = true;    // false: skipped by the memory gate, no run
-  bool parallel = false;   // true: measured via the sharded replay engine
 };
 
 /// Replays `tin` through `tracker`, returning wall time and the peak of
@@ -64,20 +62,12 @@ StatusOr<Measurement> MeasurePolicy(PolicyKind kind, const Tin& tin,
 ///     proportional policy, applied over the input's vertex count; a
 ///     zero limit disables the gate (feasible == false short-circuits
 ///     the run, exactly as MeasurePolicy does).
-///   - parallel + parallel_params: replay `tin` through the sharded
-///     engine when the spec is decomposable and more than one shard
-///     resolves (results stay bit-identical either way — see
-///     parallel/sharded_replay.h). On the parallel path peak_memory is
-///     the end-of-replay logical footprint (per-interaction peak
-///     sampling would serialize the shards). Ignored for streams.
 ///   - ingest_stats: receives the full ingest accounting on the
 ///     streaming path (watermark, batches, peak buffering).
 struct MeasureOptions {
   const Tin* tin = nullptr;
   InteractionStream* stream = nullptr;
   size_t dense_memory_limit = 0;
-  bool parallel = false;
-  ParallelParams parallel_params;
   IngestStats* ingest_stats = nullptr;
 };
 

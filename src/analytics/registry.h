@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/tin.h"
-#include "parallel/sharded_replay.h"
+#include "parallel/sharded_ingest.h"
 #include "policies/tracker.h"
 #include "scalable/budget.h"
 #include "util/status.h"
@@ -35,7 +35,7 @@ struct ScalableParams {
 
 /// How a spec's selection preprocessing may be performed.
 ///   kMaterialized — a log is available: Selective pre-scans it for its
-///     top generating vertices, Activity sharding can measure labels.
+///     top generating vertices.
 ///   kStreaming — the dataset's shape is all that is known up front.
 ///     One semantic difference is forced by streaming: "Selective"
 ///     cannot pre-scan the stream for its top generators, so it tracks
@@ -87,7 +87,7 @@ class TrackerRegistry {
   StatusOr<std::unique_ptr<Tracker>> Create(const TrackerSpec& spec,
                                             const DatasetStats& stats) const;
 
-  /// Sharded-replay description for the parallel engine. Pro-rata
+  /// Label-sharded description for ShardedIngestEngine. Pro-rata
   /// trackers with label-linear semantics — Prop-sparse, Selective,
   /// Grouped, Windowed — come back decomposable; every other name
   /// yields a sequential-only spec the engine still accepts. The

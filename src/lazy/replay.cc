@@ -107,32 +107,11 @@ StatusOr<std::unique_ptr<Tracker>> LazyReplayEngine::MakeTracker() const {
   return tracker;
 }
 
-void LazyReplayEngine::EnableParallel(ShardedSpec spec,
-                                      ParallelParams params) {
-  // The spec's sequential factory becomes the engine's factory, so all
-  // three query shapes — full/prefix (sharded) and sliced (per-query
-  // tracker) — answer from one tracker configuration; a spec for a
-  // different policy than the constructor's factory cannot produce
-  // split-brain answers.
-  if (spec.sequential) factory_ = spec.sequential;
-  sharded_ =
-      std::make_unique<ShardedReplayEngine>(*tin_, std::move(spec), params);
-}
-
 StatusOr<Buffer> LazyReplayEngine::ReplayPrefix(VertexId v, size_t prefix) {
   obs::TraceSpan span("lazy.prefix_query", "lazy");
   if (v >= tin_->num_vertices()) {
     return Status::InvalidArgument("query vertex " + std::to_string(v) +
                                    " out of range");
-  }
-  if (sharded_ != nullptr) {
-    // QueryPrefix materializes only v's list, not all |V| of them.
-    auto result = sharded_->QueryPrefix(v, prefix);
-    if (!result.ok()) return result.status();
-    last_stats_.interactions_replayed = prefix;
-    last_stats_.cone_vertices = tin_->num_vertices();
-    RecordLazyQuery(last_stats_);
-    return result;
   }
   auto tracker = MakeTracker();
   if (!tracker.ok()) return tracker.status();

@@ -24,7 +24,6 @@
 #include "core/buffer.h"
 #include "core/tin.h"
 #include "core/types.h"
-#include "parallel/sharded_replay.h"
 #include "policies/tracker.h"
 #include "util/status.h"
 
@@ -87,23 +86,12 @@ class LazyReplayEngine {
   /// Cost of the most recent successful query.
   const ReplayStats& last_stats() const { return last_stats_; }
 
-  /// Routes full and historical-prefix queries through the parallel
-  /// sharded engine (see parallel/sharded_replay.h). Results stay
-  /// bit-identical — non-decomposable specs fall back to a sequential
-  /// replay inside the engine. The spec's sequential factory also
-  /// replaces this engine's tracker factory, so sliced queries — which
-  /// stay per-query sequential (the influence cone is not
-  /// label-aligned) — answer from the same configuration as the
-  /// sharded paths. Typically paired with TrackerRegistry::Sharded().
-  void EnableParallel(ShardedSpec spec, ParallelParams params);
-
  private:
   StatusOr<Buffer> ReplayPrefix(VertexId v, size_t prefix);
   StatusOr<std::unique_ptr<Tracker>> MakeTracker() const;
 
   const Tin* tin_;
   TrackerFactory factory_;
-  std::unique_ptr<ShardedReplayEngine> sharded_;
   ReplayStats last_stats_;
 };
 

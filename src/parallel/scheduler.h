@@ -1,10 +1,9 @@
-// Thread plumbing for the parallel engines: the host's width and a pool
-// of dedicated threads.
+// Thread plumbing for the label-sharded engine: the host's width and a
+// pool of dedicated threads.
 //
-// Nothing here schedules work. The shard runner (sharded_replay.h)
-// gives shard s to worker s mod workers, and its exchange phase gives
-// vertex block b to worker b mod workers; both spawn their workers
-// through ResidentPool, and the calling thread takes part.
+// Nothing here schedules work. The shard runner (sharded_ingest.h)
+// gives shard s to worker s mod workers and spawns its workers through
+// ResidentPool while the calling thread produces the stream.
 #ifndef TINPROV_PARALLEL_SCHEDULER_H_
 #define TINPROV_PARALLEL_SCHEDULER_H_
 
@@ -22,8 +21,7 @@ size_t HardwareThreads();
 /// Spawns one dedicated thread per task and joins them in Join() (or
 /// the destructor). For the shard runner's resident workers, whose
 /// tasks block on its broadcast queue and therefore must not share
-/// threads, and for the exchange phase's block workers. An empty task
-/// list spawns nothing.
+/// threads. An empty task list spawns nothing.
 class ResidentPool {
  public:
   explicit ResidentPool(std::vector<std::function<void()>> tasks);

@@ -13,6 +13,41 @@ static_assert(sizeof(ProvPair) == 16 && alignof(ProvPair) == 8,
               "the sparse merge kernels assume the 16-byte "
               "{origin, pad, quantity} ProvPair layout");
 
+namespace {
+
+/// The label-sharded exchange for one vertex: appends to `out` the
+/// interleave of its disjoint label slices into one label-sorted list,
+/// by repeated min-head selection (shard counts are small; slices are
+/// disjoint, so ties are impossible). Pure data movement —
+/// deterministic and free of floating-point arithmetic. `cursor` is
+/// scratch of at least slices.size() elements.
+void InterleaveSlices(const std::vector<const SparseVector*>& slices,
+                      SparseVector* out, std::vector<size_t>* cursor) {
+  const size_t count = slices.size();
+  size_t total_len = 0;
+  for (size_t s = 0; s < count; ++s) {
+    (*cursor)[s] = 0;
+    total_len += slices[s]->size();
+  }
+  out->reserve(out->size() + total_len);
+  for (size_t picked = 0; picked < total_len; ++picked) {
+    size_t best = count;
+    VertexId best_origin = kInvalidVertex;
+    for (size_t s = 0; s < count; ++s) {
+      const SparseVector& list = *slices[s];
+      if ((*cursor)[s] < list.size() &&
+          (best == count || list[(*cursor)[s]].origin < best_origin)) {
+        best = s;
+        best_origin = list[(*cursor)[s]].origin;
+      }
+    }
+    out->push_back((*slices[best])[(*cursor)[best]]);
+    ++(*cursor)[best];
+  }
+}
+
+}  // namespace
+
 void MergeScaledInto(SparseVector* out, const SparseVector& a,
                      const SparseVector& b, double fraction) {
   out->ResizeUninitialized(a.size() + b.size());
@@ -41,7 +76,7 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
     if (AttributeGeneration(interaction.src)) {
       const ProvPair entry{GenerationLabel(interaction.src), *deficit};
       attributed_unmasked_ += *deficit;
-      // The label filter (sharded replay) diverts non-owned labels into
+      // The label filter (sharded ingest) diverts non-owned labels into
       // alpha *after* the subclass hooks, so per-shard hook state (e.g.
       // Selective's tracked_generated) still evolves exactly as the
       // sequential tracker's does.
@@ -133,15 +168,17 @@ Status SparseProportionalBase::AdoptLabelShards(
           " diverged from shard 0 — tracker is not label-decomposable");
     }
   }
+  std::vector<const SparseVector*> slices(shards.size());
   std::vector<size_t> cursor(shards.size());
   for (size_t v = 0; v < totals_.size(); ++v) {
     size_t others = 0;
-    for (size_t s = 1; s < shards.size(); ++s) {
-      others += shards[s]->buffers_[v].size();
+    for (size_t s = 0; s < shards.size(); ++s) {
+      slices[s] = &shards[s]->buffers_[v];
+      if (s > 0) others += slices[s]->size();
     }
     if (others == 0) continue;  // shard 0's slice is the whole list
     SparseVector merged(&pool_);
-    InterleaveVertexSlices(shards, static_cast<VertexId>(v), &merged, &cursor);
+    InterleaveSlices(slices, &merged, &cursor);
     SparseVector& list = buffers_[v];
     if (list.empty()) ++num_nonempty_;
     num_entries_ += merged.size() - list.size();

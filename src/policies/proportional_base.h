@@ -67,8 +67,8 @@ class SparseProportionalBase : public Tracker {
   /// everything else joins the alpha residue exactly as if
   /// AttributeGeneration had declined it. `mask` (of `size` labels) is
   /// borrowed and must outlive the tracker; nullptr lifts the
-  /// restriction. This is the parallel sharded-replay hook
-  /// (src/parallel/sharded_replay.h): the pro-rata transfer is linear
+  /// restriction. This is the label-sharded ingest hook
+  /// (src/parallel/sharded_ingest.h): the pro-rata transfer is linear
   /// per label, so a shard that owns a label subset replays the full
   /// log and reproduces exactly that subset of every list, bit-for-bit.
   void RestrictLabels(const uint8_t* mask, size_t size) {
@@ -76,14 +76,10 @@ class SparseProportionalBase : public Tracker {
     label_mask_size_ = size;
   }
 
-  /// Read-only view of v's provenance list — the deterministic exchange
-  /// phase of sharded replay interleaves these across shards.
-  const SparseVector& EntriesOf(VertexId v) const { return buffers_[v]; }
-
-  /// Completes a label-sharded replay (src/parallel/sharded_replay.h)
+  /// Completes a label-sharded ingest (src/parallel/sharded_ingest.h)
   /// in which this tracker ran as shard 0 of `shards` (shards[0] ==
   /// this): merges the other shards' disjoint label slices into this
-  /// tracker's lists by the label interleave (InterleaveVertexSlices),
+  /// tracker's lists by an arithmetic-free interleave on label id,
   /// written straight into its pool, adopts the unmasked attributed
   /// total (a masked shard's own counter holds only its own labels) and
   /// lifts the label mask. Balances, total_generated and aux state are
@@ -193,40 +189,6 @@ class SparseProportionalBase : public Tracker {
   const uint8_t* label_mask_ = nullptr;
   size_t label_mask_size_ = 0;
 };
-
-/// The label-sharded exchange for one vertex: appends to `out` the
-/// interleave of v's disjoint label slices across `shards` into one
-/// label-sorted list, by repeated min-head selection (shard counts are
-/// small; slices are disjoint, so ties are impossible). Pure data
-/// movement — deterministic and free of floating-point arithmetic.
-/// `cursor` is caller-provided scratch of at least shards.size()
-/// elements. `Out` is a std::vector<ProvPair> or a SparseVector.
-template <typename Out>
-void InterleaveVertexSlices(const std::vector<SparseProportionalBase*>& shards,
-                            VertexId v, Out* out,
-                            std::vector<size_t>* cursor) {
-  const size_t count = shards.size();
-  size_t total_len = 0;
-  for (size_t s = 0; s < count; ++s) {
-    (*cursor)[s] = 0;
-    total_len += shards[s]->EntriesOf(v).size();
-  }
-  out->reserve(out->size() + total_len);
-  for (size_t picked = 0; picked < total_len; ++picked) {
-    size_t best = count;
-    VertexId best_origin = kInvalidVertex;
-    for (size_t s = 0; s < count; ++s) {
-      const SparseVector& list = shards[s]->EntriesOf(v);
-      if ((*cursor)[s] < list.size() &&
-          (best == count || list[(*cursor)[s]].origin < best_origin)) {
-        best = s;
-        best_origin = list[(*cursor)[s]].origin;
-      }
-    }
-    out->push_back(shards[best]->EntriesOf(v)[(*cursor)[best]]);
-    ++(*cursor)[best];
-  }
-}
 
 }  // namespace tinprov
 

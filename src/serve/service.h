@@ -92,7 +92,7 @@
 #include "core/tin.h"
 #include "core/types.h"
 #include "lazy/history.h"
-#include "parallel/sharded_replay.h"
+#include "parallel/sharded_ingest.h"
 #include "serve/request_queue.h"
 #include "storage/durable_log.h"
 #include "storage/recovery.h"
@@ -167,10 +167,9 @@ struct ServeOptions {
 
   /// Used by Catchup(): the ShardedIngestEngine layout
   /// (parallel/sharded_ingest.h). num_threads counts shard workers,
-  /// which run beside the calling thread that pulls the stream; 0 = one
-  /// fewer than std::thread::hardware_concurrency(), with a floor of 1.
-  /// A layout that resolves to fewer than 2 workers (or a spec that
-  /// does not decompose) loads sequentially instead.
+  /// which run beside the calling thread that pulls the stream; 0 =
+  /// max(nproc, 2) - 1. A layout that resolves to fewer than 2 workers
+  /// (or a spec that does not decompose) loads sequentially instead.
   ParallelParams catchup;
 
   // --- Ops plane (EnableOpsServer / the slow-query log) ------------------
@@ -223,14 +222,14 @@ class ProvenanceService {
   /// watermark. The load is ShardedIngestEngine::IngestInto
   /// (parallel/sharded_ingest.h) with the live tracker as its target,
   /// laid out by ServeOptions::catchup: label-linear specs (Prop-sparse,
-  /// Windowed, Selective, Grouped) at 2 or more shard workers load
-  /// through label-sharded streaming replay with the live tracker as
-  /// shard 0; every other spec and every 1-worker layout runs a
-  /// StreamIngestor on the calling thread — the writer's own loop,
-  /// minus the per-interval epochs. Both arms leave the live tracker
-  /// bit-identical (SaveState bytes included) to a sequential ingest;
-  /// the serve.catchup_workers gauge says which one ran (0 =
-  /// sequential). Must run before Start(), at most once (a failed
+  /// Windowed, Selective, Grouped) at 2 or more shard workers take the
+  /// engine's label-sharded arm, in which the live tracker replays as
+  /// shard 0 and then adopts the other shards' lists; every other spec
+  /// and every layout below 2 workers runs a StreamIngestor on the
+  /// calling thread — the writer's own loop, minus the per-interval
+  /// epochs. Both arms leave the live tracker bit-identical (SaveState
+  /// bytes included) to a sequential ingest; the serve.catchup_workers
+  /// gauge says which one ran (0 = sequential). Must run before Start(), at most once (a failed
   /// catchup may leave a partial prefix applied, so the service then
   /// refuses both a second Catchup() and Start() and must be
   /// discarded), and with durability off (the catchup batches would

@@ -13,9 +13,9 @@
 // on; it only lets the compiler additionally vectorize *non-kernel*
 // code with -march=native.
 //
-// Bit-exactness contract: parallel sharded replay and sharded ingest
-// (src/parallel/) must reproduce sequential results bit-for-bit, and a
-// shard sees a subset of each list. Every per-element value here is
+// Bit-exactness contract: label-sharded ingest (src/parallel/) must
+// reproduce sequential results bit-for-bit, and a shard sees a subset
+// of each list. Every per-element value here is
 // therefore produced by an arithmetic expression that does not depend
 // on its neighbours — single multiplies in the vector lanes, and the
 // one fused-looking accumulate (a + b * f) kept as an unfused mul+add

@@ -4,8 +4,8 @@
 // factory name; GeneratorStream against the materializing generator for
 // every Table-6 preset; SortingStream across its reorder-window edge
 // cases (empty stream, window smaller than the disorder, the exact
-// boundary); and the sharded engine's ReplayStream against
-// materialized Replay().
+// boundary). The label-sharded engine's streaming load is checked
+// against a sequential StreamIngestor in tests/test_parallel.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "analytics/experiment.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
-#include "parallel/sharded_replay.h"
 #include "policies/proportional_sparse.h"
 #include "policies/tracker.h"
 #include "stream/ingest.h"
@@ -373,179 +372,7 @@ TEST(ReserveHintTest, TinFormRoutesThroughStats) {
 }
 
 // ---------------------------------------------------------------------
-// (e) Sharded streaming replay == sharded materialized replay.
-
-void ExpectSameResult(const ShardedReplayResult& expected,
-                      const ShardedReplayResult& actual,
-                      const std::string& context) {
-  EXPECT_EQ(expected.total_generated, actual.total_generated) << context;
-  EXPECT_EQ(expected.num_entries, actual.num_entries) << context;
-  ASSERT_EQ(expected.num_vertices, actual.num_vertices) << context;
-  EXPECT_EQ(expected.interactions_replayed, actual.interactions_replayed)
-      << context;
-  for (VertexId v = 0; v < expected.num_vertices; ++v) {
-    EXPECT_EQ(expected.totals[v], actual.totals[v])
-        << context << " vertex " << v;
-    ASSERT_EQ(expected.entries[v].size(), actual.entries[v].size())
-        << context << " vertex " << v;
-    for (size_t i = 0; i < expected.entries[v].size(); ++i) {
-      EXPECT_TRUE(expected.entries[v][i] == actual.entries[v][i])
-          << context << " vertex " << v << " entry " << i;
-    }
-  }
-}
-
-class ShardedStreamTest : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ShardedStreamTest, StreamingMatchesMaterializedSharded) {
-  const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  // One spec for both engines: the streaming form must reproduce the
-  // materialized engine bit-for-bit when fed the identical sequence.
-  auto spec = TrackerRegistry::Global().Sharded(
-      {GetParam(), params, TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-
-  ParallelParams parallel;
-  parallel.num_threads = 3;
-  parallel.num_shards = 5;
-  parallel.stream_chunk = 97;  // forces many partial chunks
-  parallel.stream_queue_chunks = 2;
-
-  ShardedReplayEngine materialized(tin, *spec, parallel);
-  auto expected = materialized.Replay();
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
-  ShardedReplayEngine streaming(tin.Stats(), *spec, parallel);
-  MaterializedStream stream(tin);
-  auto actual = streaming.ReplayStream(stream);
-  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-  EXPECT_EQ(expected->used_parallel_path, actual->used_parallel_path);
-  ExpectSameResult(*expected, *actual, GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(Decomposable, ShardedStreamTest,
-                         ::testing::Values("Prop-sparse", "Windowed",
-                                           "Selective", "Grouped"),
-                         SanitizeName);
-
-TEST(ShardedStreamTest, HonorsLogFreeStrategies) {
-  // kHash and kContiguous need no log, so the Tin-free engine must
-  // apply them (only kActivity falls back to round-robin): shard label
-  // loads have to match the materialized engine's exactly.
-  const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", params, TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok());
-  for (const ShardStrategy strategy :
-       {ShardStrategy::kHash, ShardStrategy::kContiguous}) {
-    ParallelParams parallel;
-    parallel.num_threads = 2;
-    parallel.num_shards = 4;
-    parallel.strategy = strategy;
-
-    ShardedReplayEngine materialized(tin, *spec, parallel);
-    auto expected = materialized.Replay();
-    ASSERT_TRUE(expected.ok());
-
-    ShardedReplayEngine streaming(tin.Stats(), *spec, parallel);
-    MaterializedStream stream(tin);
-    auto actual = streaming.ReplayStream(stream);
-    ASSERT_TRUE(actual.ok());
-    ASSERT_EQ(expected->shards.size(), actual->shards.size());
-    for (size_t s = 0; s < expected->shards.size(); ++s) {
-      EXPECT_EQ(expected->shards[s].labels, actual->shards[s].labels)
-          << "strategy " << static_cast<int>(strategy) << " shard " << s;
-      EXPECT_EQ(expected->shards[s].entries, actual->shards[s].entries)
-          << "strategy " << static_cast<int>(strategy) << " shard " << s;
-    }
-    ExpectSameResult(*expected, *actual,
-                     "strategy " + std::to_string(static_cast<int>(strategy)));
-  }
-}
-
-TEST(ShardedStreamTest, SequentialFallbackMatchesEager) {
-  const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"FIFO", params, TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok());
-  ASSERT_FALSE(spec->decomposable);
-
-  ShardedReplayEngine engine(tin.Stats(), *spec, ParallelParams{});
-  MaterializedStream stream(tin);
-  auto result = engine.ReplayStream(stream);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->used_parallel_path);
-
-  auto eager = CreateTracker(PolicyKind::kFifo, tin.num_vertices());
-  ASSERT_TRUE(eager->ProcessAll(tin).ok());
-  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-    ExpectSameBuffer(eager->Provenance(v), result->Provenance(v),
-                     "FIFO fallback vertex " + std::to_string(v));
-  }
-}
-
-TEST(ShardedStreamTest, SingleWorkerInlinePathMatches) {
-  const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", params, TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok());
-
-  ParallelParams parallel;
-  parallel.num_threads = 1;  // forces the no-queue inline broadcast
-  parallel.num_shards = 4;
-  parallel.stream_chunk = 64;
-
-  ShardedReplayEngine materialized(tin, *spec, parallel);
-  auto expected = materialized.Replay();
-  ASSERT_TRUE(expected.ok());
-
-  ShardedReplayEngine streaming(tin.Stats(), *spec, parallel);
-  MaterializedStream stream(tin);
-  auto actual = streaming.ReplayStream(stream);
-  ASSERT_TRUE(actual.ok());
-  ExpectSameResult(*expected, *actual, "inline path");
-}
-
-TEST(ShardedStreamTest, StreamingEngineRejectsMaterializedEntryPoints) {
-  const Tin tin = GeneratedTin();
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", TestParams(), TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok());
-  ShardedReplayEngine engine(tin.Stats(), *spec, ParallelParams{});
-  EXPECT_EQ(engine.Replay().status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.ReplayPrefix(10).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.QueryPrefix(0, 10).status().code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(ShardedStreamTest, RejectsOutOfOrderStream) {
-  std::vector<Interaction> disordered = SortedToy(50);
-  std::swap(disordered[10], disordered[30]);
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", TestParams(), TrackerMode::kStreaming},
-      DatasetStats{5, 50});
-  ASSERT_TRUE(spec.ok());
-  for (const size_t threads : {size_t{1}, size_t{3}}) {
-    ParallelParams parallel;
-    parallel.num_threads = threads;
-    parallel.num_shards = 3;
-    parallel.stream_chunk = 8;
-    ShardedReplayEngine engine(DatasetStats{5, 50}, *spec, parallel);
-    VectorStream stream(5, disordered);
-    const auto result = engine.ReplayStream(stream);
-    ASSERT_FALSE(result.ok()) << "threads " << threads;
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
-// ---------------------------------------------------------------------
-// (f) Streaming analytics entry points.
+// (e) Streaming analytics entry points.
 
 TEST(StreamAnalyticsTest, StreamFactoryRejectsUnknownNames) {
   auto factory = TrackerRegistry::Global().Factory(
