@@ -223,8 +223,7 @@ void BM_ZipfSample(benchmark::State& state) {
 BENCHMARK(BM_ZipfSample)->Range(1024, 1 << 24);
 
 // The obs/ primitives themselves, so a metrics-hot-path regression
-// shows up here before it shows up as engine overhead. In a
-// TINPROV_METRICS=OFF build both measure an empty loop.
+// shows up here before it shows up as engine overhead.
 void BM_MetricsCounterAdd(benchmark::State& state) {
   obs::Counter* counter =
       obs::MetricsRegistry::Global().GetCounter("bench.micro_counter");
@@ -291,9 +290,9 @@ void ReportMetricsOverhead() {
                               ? (instr_median - raw_median) / raw_median
                               : 0.0;
   std::printf(
-      "metrics overhead smoke (%s build): sparse-merge %zu-entry kernel, "
+      "metrics overhead smoke: sparse-merge %zu-entry kernel, "
       "bare %.3fus/iter vs instrumented %.3fus/iter -> %+.2f%%\n",
-      obs::kMetricsEnabled ? "metrics-on" : "metrics-off", kLen,
+      kLen,
       raw_median / kIters * 1e6, instr_median / kIters * 1e6,
       overhead * 100.0);
   if (overhead > 0.02) {

@@ -7,14 +7,16 @@ JsonBenchReporter emit the same shape: {"context": ..., "benchmarks":
 (file, name); a benchmark is flagged when its real_time grew by more
 than the threshold (default 25%).
 
-Files whose recorded host shape (context num_cpus / tinprov_native /
-simd / compiler) differs between baseline and current are skipped with
-a warning: a baseline recorded on a 1-CPU box would otherwise read as a
-sharding regression on any wider machine, a scalar-dispatch baseline
-would read as a vectorization miracle on an AVX2 host, and
-native-vs-portable or cross-compiler codegen differences are not
-regressions either. Old baselines without those context fields compare
-as before.
+Files whose recorded run shape (context num_cpus / tinprov_native /
+simd / compiler / tinprov_scale) differs between baseline and current
+are skipped with a warning: a baseline recorded on a 1-CPU box would
+otherwise read as a sharding regression on any wider machine, a
+scalar-dispatch baseline would read as a vectorization miracle on an
+AVX2 host, native-vs-portable or cross-compiler codegen differences are
+not regressions either, and a run at another TINPROV_SCALE times a
+different input (a 0.1 run against a baseline recorded at 60 would read
+as a 100x speedup on every row). Old baselines without those context
+fields compare as before.
 
 Usage: bench_compare.py BASELINE_DIR CURRENT_DIR [--threshold 0.25]
                         [--fail-on-regress]
@@ -33,9 +35,11 @@ import sys
 TIME_UNITS = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 
 
-# Context fields that define the host shape; a mismatch in any of them
-# (when both sides recorded the field) makes timings incomparable.
-HOST_SHAPE_FIELDS = ("num_cpus", "tinprov_native", "simd", "compiler")
+# Context fields that define the host and input shape; a mismatch in any
+# of them (when both sides recorded the field) makes timings
+# incomparable.
+HOST_SHAPE_FIELDS = ("num_cpus", "tinprov_native", "simd", "compiler",
+                     "tinprov_scale")
 
 
 def host_shape_mismatch(baseline_context, current_context):
@@ -96,7 +100,8 @@ def main():
             field, base, cur = mismatch
             print(f"warning: {current_path.name}: host shape differs "
                   f"({field}: baseline {base!r} vs current {cur!r}), "
-                  f"skipping — re-record the baseline on this host")
+                  f"skipping — re-record the baseline on this host "
+                  f"at this scale")
             continue
         for name, base_time in sorted(baseline.items()):
             cur_time = current.get(name)

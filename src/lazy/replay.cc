@@ -12,9 +12,7 @@ namespace tinprov {
 namespace {
 
 /// Every lazy query shape funnels its per-query cost through here.
-/// (The parameter is unused when TINPROV_METRICS=OFF expands the
-/// macros to no-ops.)
-void RecordLazyQuery([[maybe_unused]] const ReplayStats& stats) {
+void RecordLazyQuery(const ReplayStats& stats) {
   TINPROV_COUNTER_ADD("lazy.queries", 1);
   TINPROV_COUNTER_ADD("lazy.replayed_interactions",
                       stats.interactions_replayed);

@@ -88,6 +88,4 @@ std::string MetricsJson() {
   return out;
 }
 
-double EngineMemoryBytes() { return MetricsRegistry::Global().MemoryBytes(); }
-
 }  // namespace tinprov::obs

@@ -22,9 +22,6 @@ std::string PrometheusText();
 /// as 0 so the output is always strict JSON.
 std::string MetricsJson();
 
-/// Engine-wide memory in bytes: MetricsRegistry::Global().MemoryBytes().
-double EngineMemoryBytes();
-
 }  // namespace tinprov::obs
 
 #endif  // TINPROV_OBS_EXPORT_H_

@@ -7,15 +7,11 @@
 namespace tinprov::obs {
 
 uint64_t Histogram::Count() const {
-#if defined(TINPROV_METRICS_ENABLED)
   uint64_t total = 0;
   for (const auto& bucket : buckets_) {
     total += bucket.load(std::memory_order_relaxed);
   }
   return total;
-#else
-  return 0;
-#endif
 }
 
 double Histogram::BucketLow(size_t i) {
@@ -30,7 +26,6 @@ double Histogram::BucketHigh(size_t i) {
 }
 
 double Histogram::Percentile(double p) const {
-#if defined(TINPROV_METRICS_ENABLED)
   p = std::min(1.0, std::max(0.0, p));
   uint64_t counts[kNumBuckets];
   uint64_t total = 0;
@@ -57,10 +52,6 @@ double Histogram::Percentile(double p) const {
     }
   }
   return BucketHigh(kNumBuckets - 1);
-#else
-  (void)p;
-  return 0.0;
-#endif
 }
 
 Histogram::Snapshot Histogram::GetSnapshot() const {
@@ -74,10 +65,8 @@ Histogram::Snapshot Histogram::GetSnapshot() const {
 }
 
 void Histogram::Reset() {
-#if defined(TINPROV_METRICS_ENABLED)
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
-#endif
 }
 
 MetricsRegistry& MetricsRegistry::Global() {

@@ -16,10 +16,9 @@
 //
 // Cost model: instrumentation call sites go through the TINPROV_*
 // macros below, which cache the registry lookup in a function-local
-// static and compile to NOTHING when the library is built with
-// -DTINPROV_METRICS=OFF (no clock reads, no atomics, no argument
-// evaluation). tests/test_obs.cc holds the no-op proof; bench_micro's
-// overhead smoke holds the <=2% bound for the ON build.
+// static, so a site costs one relaxed atomic op after its first call
+// (plus two clock reads for the scoped probes). bench_micro's overhead
+// smoke holds the <=2% bound on an instrumented hot loop.
 #ifndef TINPROV_OBS_METRICS_H_
 #define TINPROV_OBS_METRICS_H_
 
@@ -37,14 +36,6 @@
 #include "util/stopwatch.h"
 
 namespace tinprov::obs {
-
-/// True when the library was compiled with metrics (the default);
-/// false under -DTINPROV_METRICS=OFF, where every metric op is a no-op.
-#if defined(TINPROV_METRICS_ENABLED)
-inline constexpr bool kMetricsEnabled = true;
-#else
-inline constexpr bool kMetricsEnabled = false;
-#endif
 
 namespace internal {
 
@@ -73,37 +64,25 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Add(uint64_t n = 1) {
-#if defined(TINPROV_METRICS_ENABLED)
     cells_[internal::ThreadSlot()].value.fetch_add(n,
                                                    std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   uint64_t Value() const {
-#if defined(TINPROV_METRICS_ENABLED)
     uint64_t sum = 0;
     for (const auto& cell : cells_) {
       sum += cell.value.load(std::memory_order_relaxed);
     }
     return sum;
-#else
-    return 0;
-#endif
   }
 
   /// Test support: zeroes the cells. Never called on hot paths.
   void Reset() {
-#if defined(TINPROV_METRICS_ENABLED)
     for (auto& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
-#endif
   }
 
  private:
-#if defined(TINPROV_METRICS_ENABLED)
   internal::PaddedCell cells_[internal::kCounterShards];
-#endif
 };
 
 /// Last-written-wins gauge with atomic add and monotone-max variants.
@@ -116,50 +95,32 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(double v) {
-#if defined(TINPROV_METRICS_ENABLED)
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   void Add(double d) {
-#if defined(TINPROV_METRICS_ENABLED)
     double current = value_.load(std::memory_order_relaxed);
     while (!value_.compare_exchange_weak(current, current + d,
                                          std::memory_order_relaxed)) {
     }
-#else
-    (void)d;
-#endif
   }
 
   /// Raises the gauge to `v` if larger (peak tracking).
   void SetMax(double v) {
-#if defined(TINPROV_METRICS_ENABLED)
     double current = value_.load(std::memory_order_relaxed);
     while (current < v && !value_.compare_exchange_weak(
                               current, v, std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
 
   double Value() const {
-#if defined(TINPROV_METRICS_ENABLED)
     return value_.load(std::memory_order_relaxed);
-#else
-    return 0.0;
-#endif
   }
 
   void Reset() { Set(0.0); }
 
  private:
-#if defined(TINPROV_METRICS_ENABLED)
   std::atomic<double> value_{0.0};
-#endif
 };
 
 /// Log2-bucket histogram over non-negative integer samples (latencies
@@ -176,21 +137,13 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Observe(uint64_t value) {
-#if defined(TINPROV_METRICS_ENABLED)
     buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   uint64_t Count() const;
   uint64_t Sum() const {
-#if defined(TINPROV_METRICS_ENABLED)
     return sum_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
   }
 
   /// Estimated quantile for `p` in [0, 1]; 0 when empty.
@@ -222,10 +175,8 @@ class Histogram {
   }
 
  private:
-#if defined(TINPROV_METRICS_ENABLED)
   std::atomic<uint64_t> buckets_[kNumBuckets] = {};
   std::atomic<uint64_t> sum_{0};
-#endif
 };
 
 /// The process-wide registry. Get*() interns by name and returns a
@@ -267,8 +218,8 @@ class MetricsRegistry {
 };
 
 /// RAII latency probe: observes elapsed nanoseconds into a histogram on
-/// destruction. Use through TINPROV_SCOPED_LATENCY_NS so the clock
-/// reads vanish in no-metrics builds.
+/// destruction. Use through TINPROV_SCOPED_LATENCY_NS, which caches
+/// the registry lookup.
 class ScopedLatency {
  public:
   explicit ScopedLatency(Histogram* histogram) : histogram_(histogram) {}
@@ -302,11 +253,7 @@ class ScopedCounterNs {
 }  // namespace tinprov::obs
 
 // Instrumentation macros. Each caches its registry lookup in a
-// function-local static (thread-safe, one lock ever per site) and
-// compiles to an empty statement — arguments unevaluated — when the
-// library is built with -DTINPROV_METRICS=OFF.
-#if defined(TINPROV_METRICS_ENABLED)
-
+// function-local static (thread-safe, one lock ever per site).
 #define TINPROV_COUNTER_ADD(name, delta)                             \
   do {                                                               \
     static ::tinprov::obs::Counter* const tinprov_metric_counter_ =  \
@@ -355,15 +302,5 @@ class ScopedCounterNs {
       tinprov_counter_span_, __LINE__){TINPROV_OBS_CONCAT(           \
       tinprov_counter_ns_, __LINE__)}
 
-#else  // !TINPROV_METRICS_ENABLED
-
-#define TINPROV_COUNTER_ADD(name, delta) do { } while (0)
-#define TINPROV_GAUGE_SET(name, value) do { } while (0)
-#define TINPROV_GAUGE_MAX(name, value) do { } while (0)
-#define TINPROV_HISTOGRAM_OBSERVE(name, value) do { } while (0)
-#define TINPROV_SCOPED_LATENCY_NS(name) do { } while (0)
-#define TINPROV_SCOPED_COUNTER_NS(name) do { } while (0)
-
-#endif  // TINPROV_METRICS_ENABLED
 
 #endif  // TINPROV_OBS_METRICS_H_

@@ -22,9 +22,7 @@ int64_t SteadyNowNs() {
       .count();
 }
 
-// Only ever registered by the metrics-enabled constructor below, so a
-// TINPROV_METRICS=OFF build would otherwise warn it is unused.
-[[maybe_unused]] void ExportTraceAtExit() {
+void ExportTraceAtExit() {
   TraceSink& sink = TraceSink::Global();
   const char* path = std::getenv("TINPROV_TRACE");
   if (path == nullptr || path[0] == '\0') return;
@@ -41,14 +39,12 @@ int64_t SteadyNowNs() {
 }  // namespace
 
 TraceSink::TraceSink() : epoch_ns_(SteadyNowNs()) {
-#if defined(TINPROV_METRICS_ENABLED)
   const char* path = std::getenv("TINPROV_TRACE");
   if (path != nullptr && path[0] != '\0') {
     path_ = path;
     enabled_.store(true, std::memory_order_relaxed);
     std::atexit(ExportTraceAtExit);
   }
-#endif
 }
 
 TraceSink& TraceSink::Global() {
@@ -143,11 +139,7 @@ Status TraceSink::WriteJson(const std::string& path) const {
 }
 
 void TraceSink::SetEnabledForTesting(bool enabled) {
-#if defined(TINPROV_METRICS_ENABLED)
   enabled_.store(enabled, std::memory_order_relaxed);
-#else
-  (void)enabled;
-#endif
 }
 
 void TraceSink::SetCapacityForTesting(size_t capacity) {

@@ -10,7 +10,7 @@
 // load per span. Setting TINPROV_TRACE=<file> in the environment turns
 // it on for the process and writes the trace JSON to <file> at exit
 // (std::atexit). Tests drive the sink directly via the ForTesting
-// hooks; no-metrics builds (-DTINPROV_METRICS=OFF) never enable it.
+// hooks.
 //
 // The sink is a fixed-capacity ring: when full, the oldest events are
 // overwritten and dropped_events() counts the loss — a long run keeps

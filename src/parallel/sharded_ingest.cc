@@ -28,12 +28,11 @@ ShardedIngestEngine::ShardedIngestEngine(const DatasetStats& /*stats*/,
       params_.num_shards == 0 ? threads : params_.num_shards,
       spec_.label_count);
   const size_t workers = std::min(threads, shards);
-  // The broadcast producer always checks time order and has no point at
-  // which a batch is applied by every shard, so a sink (which must see
-  // batches after the tracker applied them) or an unchecked stream
-  // loads sequentially.
+  // The broadcast producer has no point at which a batch is applied by
+  // every shard, so a sink (which must see batches after the tracker
+  // applied them) loads sequentially.
   if (spec_.decomposable && spec_.make_shard != nullptr && workers >= 2 &&
-      options_.sink == nullptr && options_.enforce_time_order) {
+      options_.sink == nullptr) {
     workers_ = workers;
     shards_ = shards;
   }
@@ -78,7 +77,7 @@ StatusOr<ShardedIngestResult> ShardedIngestEngine::ShardedLoad(
   }
   obs::TraceSpan span("ingest.sharded", "parallel");
   Stopwatch watch;
-  if (options_.reserve_from_stats) target->ReserveHint(stream.Stats());
+  target->ReserveHint(stream.Stats());
   ShardedIngestResult result;
   Timestamp watermark = options_.initial_watermark;
   size_t n = 0;

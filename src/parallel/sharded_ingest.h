@@ -35,11 +35,10 @@
 // load returns. Every other spec (the order-based policies;
 // BudgetTracker, whose shrink inspects whole lists), every layout that
 // resolves to fewer than 2 workers, and every load that needs what the
-// broadcast cannot give (a BatchSink, or no time-order check) runs a
-// StreamIngestor on the calling thread. Either arm leaves the tracker
-// bit-identical, SaveState bytes included, to a sequential
-// StreamIngestor over the same stream. ProvenanceService::Catchup runs
-// this engine.
+// broadcast cannot give (a BatchSink) runs a StreamIngestor on the
+// calling thread. Either arm leaves the tracker bit-identical, SaveState
+// bytes included, to a sequential StreamIngestor over the same stream.
+// ProvenanceService::Catchup runs this engine.
 #ifndef TINPROV_PARALLEL_SHARDED_INGEST_H_
 #define TINPROV_PARALLEL_SHARDED_INGEST_H_
 

@@ -308,12 +308,10 @@ StatusOr<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
     storage::Env* env = options.durability.env != nullptr
                             ? options.durability.env
                             : storage::Env::Posix();
-    if (options.durability.recover) {
-      storage::RecoveryManager manager(env, options.durability.dir);
-      auto result = manager.Recover(service->spec_.sequential);
-      if (!result.ok()) return result.status();
-      recovered = *std::move(result);
-    }
+    storage::RecoveryManager manager(env, options.durability.dir);
+    auto result = manager.Recover(service->spec_.sequential);
+    if (!result.ok()) return result.status();
+    recovered = *std::move(result);
     auto log = storage::DurableLog::Open(env, options.durability.dir,
                                          recovered.prefix, recovered.next_seq,
                                          options.durability.log);
@@ -336,17 +334,12 @@ ProvenanceService::ProvenanceService(ShardedSpec spec,
   if (options_.epoch_interval == 0) options_.epoch_interval = 1;
   if (options_.ring_size == 0) options_.ring_size = 1;
   if (options_.ingest_batch == 0) options_.ingest_batch = 1;
-  pool_ = std::make_unique<QueryWorkerPool>(
-      [this](const QueryRequest& request) { return Execute(request); },
-      options_.num_query_threads);
 }
 
 ProvenanceService::~ProvenanceService() {
   // The ops plane reads `this` from its accept thread; take it down
   // before the state it snapshots goes away.
   DisableOpsServer();
-  // Workers execute through `this`; stop them before anything else.
-  pool_.reset();
   if (writer_.joinable()) writer_.join();
   // The store owns the retired answers; the live ones go with the
   // newest table.
@@ -799,10 +792,6 @@ QueryResult ProvenanceService::Execute(const QueryRequest& request) const {
   return result;
 }
 
-std::future<QueryResult> ProvenanceService::Submit(QueryRequest request) {
-  return pool_->Submit(request);
-}
-
 double ProvenanceService::EpochAgeSeconds() const {
   const int64_t last = last_publish_ns_.load(std::memory_order_relaxed);
   if (last == 0) return 0.0;  // Init hasn't published epoch 0 yet
@@ -820,7 +809,6 @@ std::string ProvenanceService::StatuszJson() const {
   std::string out = "{\"service\":{\"uptime_s\":";
   out += JsonDouble(uptime_.ElapsedSeconds());
   out += ",\"num_vertices\":" + std::to_string(stats_.num_vertices);
-  out += ",\"query_threads\":" + std::to_string(pool_->num_threads());
   out += "},\"epoch\":{\"seq\":" + std::to_string(epoch.seq);
   out += ",\"prefix\":" + std::to_string(epoch.prefix);
   out += ",\"watermark\":" + JsonDouble(epoch.watermark);
@@ -853,8 +841,6 @@ std::string ProvenanceService::StatuszJson() const {
                         : 0.0);
   out += "},\"queries\":{\"executed\":" +
          std::to_string(registry.GetCounter("serve.queries")->Value());
-  out += ",\"submitted\":" +
-         std::to_string(registry.GetCounter("serve.queries_submitted")->Value());
   out += ",\"per_s\":" + JsonDouble(ops_recorder_ != nullptr
                                         ? ops_recorder_->Rate("serve.queries")
                                         : 0.0);
@@ -877,9 +863,8 @@ std::string ProvenanceService::StatuszJson() const {
   out += durable_ != nullptr ? "true" : "false";
   if (durable_ != nullptr) {
     // prefix/degraded come straight from DurableLog's atomics (safe
-    // from this ops thread, and truthful even when TINPROV_METRICS=OFF
-    // compiles the gauge mirrors away); the counters are registry-only
-    // best-effort stats.
+    // from this ops thread); the counters are registry-only best-effort
+    // stats.
     out += ",\"durable_prefix\":" +
            std::to_string(durable_->prefix());
     out += ",\"degraded\":";
@@ -913,7 +898,6 @@ StatusOr<uint16_t> ProvenanceService::EnableOpsServer(uint16_t port) {
 
   obs::RecorderOptions recorder_options;
   recorder_options.interval_ms = options_.ops_recorder_interval_ms;
-  recorder_options.capacity = options_.ops_recorder_capacity;
   auto recorder = std::make_unique<obs::Recorder>(recorder_options);
   Status status = recorder->Start();
   if (!status.ok()) return status;
@@ -934,9 +918,6 @@ StatusOr<uint16_t> ProvenanceService::EnableOpsServer(uint16_t port) {
         (IngestDone() ? "s, ingest done)" : "s while ingesting)");
     return result;
   });
-  health.Register("serve.queue_depth",
-                  obs::GaugeAtMostCheck("serve.queue_depth",
-                                        options_.health_max_queue_depth));
   RegisterIngestHealthChecks(health, options_.health_max_watermark_lag);
   health.Register("trace.drops", [] {
     obs::HealthResult result;
@@ -950,15 +931,14 @@ StatusOr<uint16_t> ProvenanceService::EnableOpsServer(uint16_t port) {
   health.Register("tracker.alpha_residue",
                   obs::GaugeAtMostCheck("tracker.alpha_residue",
                                         options_.health_max_alpha_residue));
-  health_checks_ = {"serve.epoch_age", "serve.queue_depth",
-                    "ingest.watermark_lag", "trace.drops",
-                    "tracker.alpha_residue"};
+  health_checks_ = {"serve.epoch_age", "ingest.watermark_lag",
+                    "trace.drops", "tracker.alpha_residue"};
   if (durable_ != nullptr) {
     // storage.durability: healthy while the log has not degraded to
     // memory. Reads DurableLog::degraded() (an atomic latched by the
-    // ingest thread) directly rather than the gauge mirror, so the
-    // check works in TINPROV_METRICS=OFF builds too; `durable_`
-    // outlives the check (unregistered in DisableOpsServer).
+    // ingest thread) directly rather than the process-wide gauge
+    // mirror; `durable_` outlives the check (unregistered in
+    // DisableOpsServer).
     storage::DurableLog* log = durable_.get();
     health.Register("storage.durability", [log] {
       obs::HealthResult result;

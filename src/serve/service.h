@@ -80,7 +80,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -93,7 +92,7 @@
 #include "core/types.h"
 #include "lazy/history.h"
 #include "parallel/sharded_ingest.h"
-#include "serve/request_queue.h"
+#include "serve/query.h"
 #include "storage/durable_log.h"
 #include "storage/recovery.h"
 #include "stream/ingest.h"
@@ -127,10 +126,6 @@ struct DurabilityOptions {
   storage::Env* env = nullptr;
   /// Segment rotation / per-batch fsync / fail-stop-vs-degrade policy.
   storage::DurableLogOptions log;
-  /// Recover existing state on construction. Off starts the log over
-  /// at position 0: opening it drops every later segment and snapshot
-  /// (prefer a fresh dir).
-  bool recover = true;
   /// storage.disk_headroom health check trips below this many free
   /// bytes on dir's filesystem.
   uint64_t min_free_disk_bytes = 64ull << 20;
@@ -161,9 +156,6 @@ struct ServeOptions {
   /// epoch cannot be matched to t exactly at timestamp ties, so every
   /// earlier t returns FailedPrecondition.
   bool retain_history = true;
-  /// Worker threads for the Submit() queue. 0 = inline execution; the
-  /// direct query methods never use the pool either way.
-  size_t num_query_threads = 0;
 
   /// Used by Catchup(): the ShardedIngestEngine layout
   /// (parallel/sharded_ingest.h). num_threads counts shard workers,
@@ -174,7 +166,7 @@ struct ServeOptions {
 
   // --- Ops plane (EnableOpsServer / the slow-query log) ------------------
 
-  /// Execute()/Submit() queries slower than this land in the
+  /// Execute() queries slower than this land in the
   /// process-wide SlowQueryLog (/tracez?slow=1 on the ops server).
   /// 0 disables recording; ids are stamped either way.
   int64_t slow_query_ns = 1'000'000;  // 1 ms
@@ -183,14 +175,12 @@ struct ServeOptions {
   /// only while ingest is live (a drained service is never stale);
   /// infinite limits report their value but never trip.
   double health_max_epoch_age_s = 60.0;
-  double health_max_queue_depth = 65536.0;
   double health_max_watermark_lag = std::numeric_limits<double>::infinity();
   double health_max_alpha_residue = std::numeric_limits<double>::infinity();
 
-  /// EnableOpsServer's metrics recorder: sampling period and ring bound
-  /// (the ring always holds the most recent capacity*interval window).
+  /// EnableOpsServer's metrics recorder sampling period. Its ring holds
+  /// the most recent 512 samples.
   int64_t ops_recorder_interval_ms = 250;
-  size_t ops_recorder_capacity = 512;
 
   // --- Durability (storage/ layer) ---------------------------------------
 
@@ -208,7 +198,7 @@ class ProvenanceService {
       const TrackerSpec& spec, const DatasetStats& stats,
       ServeOptions options = {});
 
-  /// Stops ingest (joins the writer) and the worker pool.
+  /// Stops ingest (joins the writer) and the ops plane.
   ~ProvenanceService();
 
   ProvenanceService(const ProvenanceService&) = delete;
@@ -277,17 +267,13 @@ class ProvenanceService {
   /// full buffered quantity.
   QueryResult TopOrigins(VertexId v, size_t k) const;
 
-  /// Executes any request — the QueryWorkerPool executor.
+  /// Executes any request, stamping its query id and recording its
+  /// latency and, past slow_query_ns, a slow-query log entry.
   QueryResult Execute(const QueryRequest& request) const;
-
-  /// Queues a request on the worker pool (inline when the pool has no
-  /// threads). Thread-safe.
-  std::future<QueryResult> Submit(QueryRequest request);
 
   /// Identity of the newest published epoch.
   EpochInfo LatestEpoch() const;
 
-  size_t num_query_threads() const { return pool_->num_threads(); }
   size_t num_vertices() const { return stats_.num_vertices; }
 
   // --- Ops plane ---------------------------------------------------------
@@ -296,10 +282,10 @@ class ProvenanceService {
   /// ephemeral port; the bound port is returned). Wires the whole
   /// plane: the service-aware /statusz page, a metrics Recorder
   /// sampling at ops_recorder_interval_ms, and the health checks
-  /// (serve.epoch_age, serve.queue_depth, ingest.watermark_lag,
-  /// trace.drops, tracker.alpha_residue) against the ServeOptions
-  /// thresholds. One ops server per service; FailedPrecondition when
-  /// already enabled.
+  /// (serve.epoch_age, ingest.watermark_lag, trace.drops,
+  /// tracker.alpha_residue, and storage.* with durability on) against
+  /// the ServeOptions thresholds. One ops server per service;
+  /// FailedPrecondition when already enabled.
   StatusOr<uint16_t> EnableOpsServer(uint16_t port);
 
   /// Stops the endpoint and recorder and unregisters the service's
@@ -409,7 +395,6 @@ class ProvenanceService {
   IngestStats final_ingest_stats_;
   IngestStats catchup_stats_;
   std::thread writer_;
-  std::unique_ptr<QueryWorkerPool> pool_;
 
   // Ops plane (EnableOpsServer). last_publish_ns_ mirrors
   // since_publish_ in a form any thread may read (the health check and

@@ -124,8 +124,8 @@ class DurableLog {
   SnapshotStore snapshots_;
   std::unique_ptr<SegmentWriter> active_;
   // Atomics, not just gauges: the ops-plane surfaces (health checks,
-  // /statusz) read these directly so they stay truthful even in
-  // TINPROV_METRICS=OFF builds where the gauge mirrors compile away.
+  // /statusz) read these from their own threads, and a gauge mirror is
+  // process-wide, so two logs in one process would share it.
   std::atomic<uint64_t> prefix_;
   uint64_t next_seq_;
   std::atomic<bool> degraded_{false};

@@ -23,13 +23,13 @@ Status StreamIngestor::IngestBatch(InteractionStream& stream, bool* done) {
   Stopwatch watch;
   if (!reserved_) {
     reserved_ = true;
-    if (options_.reserve_from_stats) tracker_->ReserveHint(stream.Stats());
+    tracker_->ReserveHint(stream.Stats());
   }
 
   batch_.clear();
   Interaction interaction;
   while (batch_.size() < options_.batch_size && stream.Next(&interaction)) {
-    if (options_.enforce_time_order && interaction.t < pull_watermark_) {
+    if (interaction.t < pull_watermark_) {
       return Status::InvalidArgument(
           "stream batch " + std::to_string(stats_.batches) + " interaction " +
           std::to_string(stats_.interactions + batch_.size()) +
@@ -94,8 +94,6 @@ Status StreamIngestor::IngestAll(InteractionStream& stream) {
 void PublishIngestProgress(const IngestStats& stats, size_t interactions,
                            size_t batches, Timestamp pull_watermark,
                            const Tracker& tracker) {
-  // Read only by the metric macros, which TINPROV_METRICS=OFF removes.
-  (void)stats, (void)interactions, (void)batches, (void)pull_watermark;
   TINPROV_COUNTER_ADD("ingest.interactions", interactions);
   TINPROV_COUNTER_ADD("ingest.batches", batches);
   TINPROV_GAUGE_SET("ingest.watermark", stats.watermark);

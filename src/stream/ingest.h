@@ -48,10 +48,6 @@ struct IngestOptions {
   /// Interactions pulled and applied per micro-batch. The batch buffer
   /// is the only stream-side allocation, so this bounds pipeline memory.
   size_t batch_size = 4096;
-  /// Reject interactions whose timestamp is below the watermark.
-  bool enforce_time_order = true;
-  /// Call Tracker::ReserveHint(stream.Stats()) before the first batch.
-  bool reserve_from_stats = true;
   /// Starting watermark for the order check: interactions below this
   /// timestamp are rejected from the first pull. The serve layer sets it
   /// when a tracker resumes from recovered or caught-up state (complete

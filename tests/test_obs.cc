@@ -1,8 +1,8 @@
 // The observability substrate: log2-histogram percentiles against exact
 // quantiles, sharded counters and histograms under real thread
 // contention (the TSan leg runs this label), trace-sink ring semantics
-// and chrome://tracing JSON shape, exporter output, the metrics-off
-// no-op proof, and the engine-facing pieces that ride on the registry —
+// and chrome://tracing JSON shape, exporter output, and the
+// engine-facing pieces that ride on the registry —
 // per-batch ingest metrics, the unified "memory." gauge sum, and the
 // trackers' alpha-residue accounting (including its snapshot survival).
 #include <gtest/gtest.h>
@@ -64,11 +64,7 @@ TEST_F(ObsTest, CounterAddsAndResets) {
   Counter counter;
   counter.Add();
   counter.Add(41);
-  if (obs::kMetricsEnabled) {
-    EXPECT_EQ(counter.Value(), 42u);
-  } else {
-    EXPECT_EQ(counter.Value(), 0u);  // compiled-out build: provable no-op
-  }
+  EXPECT_EQ(counter.Value(), 42u);
   counter.Reset();
   EXPECT_EQ(counter.Value(), 0u);
 }
@@ -78,13 +74,9 @@ TEST_F(ObsTest, GaugeSetAddMax) {
   gauge.Set(10.0);
   gauge.Add(5.0);
   gauge.SetMax(12.0);  // below current 15 -> no change
-  if (obs::kMetricsEnabled) {
-    EXPECT_DOUBLE_EQ(gauge.Value(), 15.0);
-    gauge.SetMax(20.0);
-    EXPECT_DOUBLE_EQ(gauge.Value(), 20.0);
-  } else {
-    EXPECT_DOUBLE_EQ(gauge.Value(), 0.0);
-  }
+  EXPECT_DOUBLE_EQ(gauge.Value(), 15.0);
+  gauge.SetMax(20.0);
+  EXPECT_DOUBLE_EQ(gauge.Value(), 20.0);
 }
 
 TEST_F(ObsTest, HistogramBucketBoundaries) {
@@ -108,7 +100,6 @@ TEST_F(ObsTest, HistogramBucketBoundaries) {
 // The log2-bucket estimate must land within the exact quantile's bucket:
 // the error is bounded by the bucket's 2x width, never more.
 TEST_F(ObsTest, HistogramPercentilesTrackExactQuantiles) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Histogram histogram;
   std::vector<uint64_t> samples;
   // Deterministic skewed data: mostly small with a long tail, like a
@@ -163,7 +154,6 @@ TEST_F(ObsTest, RegistryInternsByName) {
 // The TSan target: concurrent writers on one counter and one histogram,
 // exact totals once the writers have joined.
 TEST_F(ObsTest, ConcurrentCountersAndHistogramsAreExact) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter* counter = registry.GetCounter("test.concurrent_counter");
   Gauge* peak = registry.GetGauge("test.concurrent_peak");
@@ -194,13 +184,11 @@ TEST_F(ObsTest, ConcurrentCountersAndHistogramsAreExact) {
 }
 
 TEST_F(ObsTest, MemoryBytesSumsOnlyMemoryGauges) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetGauge("memory.test_a")->Set(100.0);
   registry.GetGauge("memory.test_b")->Set(23.0);
   registry.GetGauge("test.not_memory")->Set(1e9);
   EXPECT_DOUBLE_EQ(registry.MemoryBytes(), 123.0);
-  EXPECT_DOUBLE_EQ(obs::EngineMemoryBytes(), 123.0);
 }
 
 TEST_F(ObsTest, TraceSinkRingBoundsAndCountsDrops) {
@@ -211,19 +199,12 @@ TEST_F(ObsTest, TraceSinkRingBoundsAndCountsDrops) {
     sink.Record("test.event", "test", i * 100, 50);
   }
   sink.SetEnabledForTesting(false);
-  if (obs::kMetricsEnabled) {
-    EXPECT_EQ(sink.num_events(), 4u);
-    EXPECT_EQ(sink.dropped_events(), 6u);
-  } else {
-    // Tracing can never be enabled in a metrics-off build.
-    EXPECT_EQ(sink.num_events(), 0u);
-    EXPECT_EQ(sink.dropped_events(), 0u);
-  }
+  EXPECT_EQ(sink.num_events(), 4u);
+  EXPECT_EQ(sink.dropped_events(), 6u);
   sink.SetCapacityForTesting(1 << 16);
 }
 
 TEST_F(ObsTest, TraceSpansProduceChromeTracingJson) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TraceSink& sink = TraceSink::Global();
   sink.SetEnabledForTesting(true);
   {
@@ -255,7 +236,6 @@ TEST_F(ObsTest, SpansAreNotRecordedWhileDisabled) {
 }
 
 TEST_F(ObsTest, PrometheusTextShapes) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry& registry = MetricsRegistry::Global();
   registry.GetCounter("test.prom_counter")->Add(3);
   registry.GetGauge("test.prom_gauge")->Set(1.5);
@@ -283,11 +263,9 @@ TEST_F(ObsTest, MetricsJsonIsWellFormedAndComplete) {
   EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\":{"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
-  if (obs::kMetricsEnabled) {
-    EXPECT_NE(json.find("\"test.json_counter\":5"), std::string::npos);
-    EXPECT_NE(json.find("\"test.json_hist\":{\"count\":1"),
-              std::string::npos);
-  }
+  EXPECT_NE(json.find("\"test.json_counter\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"test.json_hist\":{\"count\":1"),
+            std::string::npos);
 }
 
 // ---- Exporters under concurrent mutation (the TSan leg runs this):
@@ -325,9 +303,7 @@ TEST_F(ObsTest, ExportersStayWellFormedUnderConcurrentMutation) {
     ASSERT_EQ(json.front(), '{');
     ASSERT_EQ(json.back(), '}');
     ASSERT_NE(json.find("\"counters\":{"), std::string::npos);
-    if (obs::kMetricsEnabled) {
-      ASSERT_NE(json.find("\"test.scrape_counter\":"), std::string::npos);
-    }
+    ASSERT_NE(json.find("\"test.scrape_counter\":"), std::string::npos);
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& writer : writers) writer.join();
@@ -341,7 +317,6 @@ TEST_F(ObsTest, ExportersStayWellFormedUnderConcurrentMutation) {
 // ---- TraceSink: idempotent export and drain-once semantics.
 
 TEST_F(ObsTest, TraceSinkToJsonIsIdempotent) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TraceSink& sink = TraceSink::Global();
   sink.SetEnabledForTesting(true);
   sink.Record("test.a", "test", 0, 10);
@@ -354,7 +329,6 @@ TEST_F(ObsTest, TraceSinkToJsonIsIdempotent) {
 }
 
 TEST_F(ObsTest, TraceSinkDrainHandsOutEachEventOnce) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TraceSink& sink = TraceSink::Global();
   sink.SetCapacityForTesting(2);
   sink.SetEnabledForTesting(true);
@@ -387,7 +361,6 @@ TEST_F(ObsTest, TraceSinkDrainHandsOutEachEventOnce) {
 // duplicate an event: everything recorded is either handed out by some
 // drain, still buffered, or counted as dropped.
 TEST_F(ObsTest, TraceSinkDrainIsSafeUnderConcurrentEmission) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TraceSink& sink = TraceSink::Global();
   sink.SetCapacityForTesting(64);
   sink.SetEnabledForTesting(true);
@@ -465,7 +438,6 @@ TEST_F(ObsTest, HealthChecksThatThrowReportUnhealthy) {
 }
 
 TEST_F(ObsTest, HealthVerdictsMirrorIntoGauges) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   HealthRegistry health;
   health.Register("mirrored", [] { return HealthResult{true, 0.0, ""}; });
   health.RunAll();
@@ -478,7 +450,6 @@ TEST_F(ObsTest, HealthVerdictsMirrorIntoGauges) {
 }
 
 TEST_F(ObsTest, GaugeAtMostCheckComparesAgainstLimit) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry::Global().GetGauge("test.lag")->Set(5.0);
   const obs::HealthCheck check = obs::GaugeAtMostCheck("test.lag", 10.0);
   EXPECT_TRUE(check().healthy);
@@ -522,7 +493,6 @@ TEST_F(ObsTest, SlowQueryLogBoundsRingAndCountsDrops) {
 // ---- Recorder: ring bound, windowed rates, time-series JSON.
 
 TEST_F(ObsTest, RecorderSamplesComputeWindowedDeltas) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter* counter = registry.GetCounter("test.recorded_counter");
   registry.GetGauge("test.recorded_gauge")->Set(7.0);
@@ -621,7 +591,6 @@ TEST_F(ObsTest, OpsServerHealthzFlipsTo503) {
 
 // The /tracez?drain=1 route consumes the ring through the server.
 TEST_F(ObsTest, OpsServerTracezDrainConsumes) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TraceSink& sink = TraceSink::Global();
   sink.SetEnabledForTesting(true);
   sink.Record("test.served", "test", 0, 1);
@@ -697,7 +666,6 @@ Tin SmallTin() {
 }
 
 TEST_F(ObsTest, IngestReportsThroughRegistry) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   const Tin tin = SmallTin();
   ProportionalSparseTracker tracker(tin.num_vertices());
   StreamIngestor ingestor(&tracker, {/*batch_size=*/256});
@@ -716,7 +684,7 @@ TEST_F(ObsTest, IngestReportsThroughRegistry) {
             tin.num_interactions());
   // One call reports engine-wide bytes, and the ingest-side tracker
   // gauge is part of the sum.
-  EXPECT_GE(obs::EngineMemoryBytes(),
+  EXPECT_GE(registry.MemoryBytes(),
             registry.GetGauge("memory.ingest_tracker_bytes")->Value());
   EXPECT_GT(registry.GetGauge("memory.ingest_tracker_bytes")->Value(), 0.0);
 }

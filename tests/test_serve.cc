@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -35,7 +34,6 @@
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
 #include "parallel/scheduler.h"
-#include "serve/request_queue.h"
 #include "serve/service.h"
 #include "storage/env.h"
 #include "stream/ingest.h"
@@ -657,7 +655,6 @@ TEST_P(ServeReclamationTest, RetiredAnswerBytesFollowTheRing) {
                         kMultiBranchVertices, input.log))
                     .ok());
     ASSERT_TRUE((*service)->WaitIngest().ok());
-#if defined(TINPROV_METRICS_ENABLED)
     const double retired = obs::MetricsRegistry::Global()
                                .GetGauge("memory.serve_retired_answer_bytes")
                                ->Value();
@@ -666,87 +663,12 @@ TEST_P(ServeReclamationTest, RetiredAnswerBytesFollowTheRing) {
     } else {
       EXPECT_GT(retired, 0.0) << GetParam();
     }
-#endif
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Names, ServeReclamationTest,
                          ::testing::Values("FIFO", "Prop-sparse", "Windowed"),
                          SanitizeName);
-
-TEST(ServeConcurrencyTest, WorkerPoolResolvesSubmittedQueries) {
-  const Tin tin = GeneratedTin();
-  ServeOptions options;
-  options.epoch_interval = 500;
-  options.num_query_threads = 2;
-  auto service = ProvenanceService::Create(StreamingSpec("Prop-sparse"),
-                                           tin.Stats(), options);
-  ASSERT_TRUE(service.ok());
-  EXPECT_EQ((*service)->num_query_threads(), 2u);
-  ASSERT_TRUE(
-      (*service)->Start(std::make_unique<MaterializedStream>(tin)).ok());
-
-  std::vector<std::future<QueryResult>> futures;
-  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-    QueryRequest request;
-    request.kind = QueryKind::kProvenance;
-    request.v = v;
-    futures.push_back((*service)->Submit(request));
-  }
-  for (auto& future : futures) {
-    const QueryResult result = future.get();
-    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-  }
-  ASSERT_TRUE((*service)->WaitIngest().ok());
-}
-
-// ~QueryWorkerPool's drain contract: workers exit only once the queue
-// is empty, so destroying a pool with a backlog still fulfills every
-// submitted promise, each by exactly one executor run.
-TEST(ServeConcurrencyTest, WorkerPoolDrainsBacklogOnDestruction) {
-  constexpr size_t kBurst = 256;
-  std::vector<std::atomic<int>> runs(kBurst);
-  std::atomic<bool> gate{false};
-  std::vector<std::future<QueryResult>> futures;
-  std::thread opener;
-  {
-    QueryWorkerPool pool(
-        [&](const QueryRequest& request) {
-          while (!gate.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-          runs[request.v].fetch_add(1, std::memory_order_relaxed);
-          QueryResult result;
-          result.query_id = request.v + 1;
-          return result;
-        },
-        2);
-    ASSERT_EQ(pool.num_threads(), 2u);
-    for (size_t i = 0; i < kBurst; ++i) {
-      QueryRequest request;
-      request.v = static_cast<VertexId>(i);
-      futures.push_back(pool.Submit(request));
-    }
-    // Both workers are parked on the gate with the queue backlogged.
-    // The gate opens 20ms from now, normally after the destructor
-    // below has set the stop flag; either order must drain the queue.
-    opener = std::thread([&gate] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      gate.store(true, std::memory_order_release);
-    });
-  }
-  opener.join();
-
-  for (size_t i = 0; i < kBurst; ++i) {
-    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "request " << i;
-    const QueryResult result = futures[i].get();
-    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-    EXPECT_EQ(result.query_id, i + 1);
-    EXPECT_EQ(runs[i].load(), 1) << "request " << i;
-  }
-}
 
 // ---------------------------------------------------------------------
 // (c) Epoch-ring wraparound: long past the ring's reach, historical
@@ -1213,7 +1135,6 @@ TEST(ServeCatchupTest, CatchupWorkersGaugeNamesTheArm) {
                     .ok());
     return JsonField((*service)->StatuszJson(), "catchup_workers");
   };
-#if defined(TINPROV_METRICS_ENABLED)
   EXPECT_EQ(workers_after_catchup("Prop-sparse", 3), 3u);
   EXPECT_EQ(workers_after_catchup("Grouped", 2), 2u);
   EXPECT_EQ(workers_after_catchup("Prop-sparse", 1), 0u);
@@ -1223,9 +1144,6 @@ TEST(ServeCatchupTest, CatchupWorkersGaugeNamesTheArm) {
   const size_t resolved = std::max<size_t>(HardwareThreads(), 2) - 1;
   EXPECT_EQ(workers_after_catchup("Prop-sparse", 0),
             resolved >= 2 ? resolved : 0u);
-#else
-  (void)workers_after_catchup;
-#endif
 }
 
 // A bad interaction mid-stream fails the sharded arm with the same
@@ -1262,11 +1180,9 @@ TEST(ServeCatchupTest, ShardedArmRejectsBadStreamsAndStaysClosed) {
                       .code(),
                   StatusCode::kInvalidArgument)
             << context;
-#if defined(TINPROV_METRICS_ENABLED)
         EXPECT_EQ(JsonField((*service)->StatuszJson(), "catchup_workers"),
                   threads)
             << context;
-#endif
         EXPECT_EQ((*service)
                       ->Catchup(std::make_unique<VectorStream>(
                           n, std::vector<Interaction>(log.begin(),
@@ -1385,15 +1301,10 @@ TEST(ServeApiTest, IngestErrorsSurfaceThroughWaitIngest) {
   auto service = ProvenanceService::Create(StreamingSpec("FIFO"),
                                            DatasetStats{5, 50});
   ASSERT_TRUE(service.ok());
-  const Status start =
-      (*service)->Start(std::make_unique<VectorStream>(5, disordered));
-  // Threaded builds report via WaitIngest; synchronous builds may fail
-  // either there or at Start itself.
-  if (start.ok()) {
-    EXPECT_EQ((*service)->WaitIngest().code(), StatusCode::kInvalidArgument);
-  } else {
-    EXPECT_EQ(start.code(), StatusCode::kInvalidArgument);
-  }
+  // The writer thread finds the disorder; WaitIngest reports it.
+  ASSERT_TRUE(
+      (*service)->Start(std::make_unique<VectorStream>(5, disordered)).ok());
+  EXPECT_EQ((*service)->WaitIngest().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------
@@ -1458,7 +1369,6 @@ TEST(ServeOpsTest, StatuszReportsPublishCostAndSnapshots) {
   EXPECT_NE(after.find("\"publish\":{\"count\":"), std::string::npos);
   EXPECT_NE(after.find("\"dirty_vertices_p50\":"), std::string::npos);
   EXPECT_NE(after.find("\"publish_ns_p99\":"), std::string::npos);
-#if defined(TINPROV_METRICS_ENABLED)
   EXPECT_GT(JsonField(after, "publish_ns_p50"), 0u);
   // The ring still reaches some replaced answers after the drain.
   EXPECT_GT(JsonField(after, "memory.serve_retired_answer_bytes"), 0u);
@@ -1468,10 +1378,9 @@ TEST(ServeOpsTest, StatuszReportsPublishCostAndSnapshots) {
                              JsonField(before, "snapshots_taken");
   EXPECT_GE(snapshots, 1u);
   EXPECT_LT(snapshots, (*service)->LatestEpoch().seq);
-#endif
 }
 
-TEST(ServeOpsTest, SlowQueryLogTagsQueriesOnBothEntryPoints) {
+TEST(ServeOpsTest, SlowQueryLogTagsExecutedQueries) {
   obs::SlowQueryLog& log = obs::SlowQueryLog::Global();
   log.Clear();
   const Tin tin = GeneratedTin();
@@ -1501,13 +1410,12 @@ TEST(ServeOpsTest, SlowQueryLogTagsQueriesOnBothEntryPoints) {
     EXPECT_EQ(records[0].epoch_prefix, direct.epoch.prefix);
   }
 
-  // Submit funnels through the same Execute wrapper.
   request.kind = QueryKind::kTopOrigins;
   request.v = 3;
   request.k = 2;
-  const QueryResult submitted = (*service)->Submit(request).get();
-  ASSERT_TRUE(submitted.status.ok());
-  EXPECT_GT(submitted.query_id, direct.query_id);
+  const QueryResult top = (*service)->Execute(request);
+  ASSERT_TRUE(top.status.ok());
+  EXPECT_GT(top.query_id, direct.query_id);
   ASSERT_EQ(log.recorded(), 2u);
   EXPECT_STREQ(log.Snapshot().back().kind, "top_origins");
 
@@ -1524,7 +1432,7 @@ TEST(ServeOpsTest, SlowQueryLogTagsQueriesOnBothEntryPoints) {
   request.kind = QueryKind::kProvenance;
   const QueryResult untracked = (*quiet_service)->Execute(request);
   ASSERT_TRUE(untracked.status.ok());
-  EXPECT_GT(untracked.query_id, submitted.query_id);
+  EXPECT_GT(untracked.query_id, top.query_id);
   EXPECT_EQ(log.recorded(), 2u);
   log.Clear();
 }

@@ -1173,12 +1173,10 @@ TEST(ServeDurable, DegradePolicyKeepsServingAndFlipsTheGauge) {
   const QueryResult result = (*service)->Provenance(3);
   EXPECT_TRUE(result.status.ok());
 
-#if defined(TINPROV_METRICS_ENABLED)
   // The gauge mirror only exists when metrics are compiled in ...
   EXPECT_EQ(
       obs::MetricsRegistry::Global().GetGauge("storage.degraded")->Value(),
       1.0);
-#endif
   // ... but statusz reads DurableLog's atomic directly, so the degraded
   // flag must surface in every build flavor.
   const std::string statusz = (*service)->StatuszJson();
@@ -1236,7 +1234,6 @@ TEST(ServeDurable, SnapshotBytesStayWithinLogBytesPlusOneSnapshot) {
 // Start() publishes anything, /statusz already reports the recovered
 // log and the snapshots the history kept (the on-disk ones plus the
 // recovered state).
-#if defined(TINPROV_METRICS_ENABLED)
 TEST(ServeDurable, RestartSeedsTheHistoryGauges) {
   ScratchDir dir("serve_gauges");
   const Tin tin = GeneratedTin(40, 3000, 23);
@@ -1276,7 +1273,6 @@ TEST(ServeDurable, RestartSeedsTheHistoryGauges) {
   EXPECT_EQ(registry.GetGauge("memory.serve_snapshot_bytes")->Value(),
             static_cast<double>(snapshot_bytes));
 }
-#endif  // TINPROV_METRICS_ENABLED
 
 // BuildRecoveredIndex replays the recovered log into a History, cutting
 // a snapshot every interval interactions, with 0 treated as 1.
